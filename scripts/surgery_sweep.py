@@ -15,6 +15,7 @@ import math
 import sys
 from collections import defaultdict
 
+from torusglue.cli import expected_h1_for_lens
 from torusglue.invariants import mayer_vietoris_h1
 from torusglue.surgery import SurgerySpec, lens_equivalent, unknot_torus_surgery
 
@@ -32,9 +33,7 @@ def main() -> int:
                 continue
             manifold, lens = unknot_torus_surgery(SurgerySpec.from_slope(p, q))
             h1 = mayer_vietoris_h1(manifold)
-            expected_rank = 2 if lens.q == 0 else 1
-            expected_torsion = (lens.q,) if lens.q >= 2 else ()
-            ok = h1.free_rank == expected_rank and h1.torsion == expected_torsion
+            ok = h1 == expected_h1_for_lens(lens)
             rows.append((p, q, lens, h1, ok))
 
     print(f"{'slope':>10}  {'result':>8}  {'H1':>10}  check")

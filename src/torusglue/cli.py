@@ -28,7 +28,7 @@ from typing import Any, Iterator, Sequence
 
 from .gluing import FibrationResult, GluedManifold, GluingMap, find_fibration, glue
 from .invariants import MissingH1Data, euler_characteristic_glued, mayer_vietoris_h1
-from .lattice import AbelianGroup, IntMatrix
+from .lattice import AbelianGroup, IntMatrix, cross, is_primitive
 from .manifold_files import ManifoldFile, ManifoldFileError, parse_manifold_file
 from .pieces import ExtensionCertificate, Piece, PieceKind, sample_piece, torus_times_disk
 from .surgery import (
@@ -45,7 +45,9 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_INCONSISTENT = 3
 
-MAX_ENUMERATION_ENTRY = 2  # 5^9 determinant checks is the safe desk-scale limit
+# the number of unimodular matrices in the box grows about as N^6 (135k at
+# N = 2, about 3M at N = 3), and every row is classified, so stay desk-scale
+MAX_ENUMERATION_ENTRY = 2
 
 
 class _UsageError(Exception):
@@ -102,9 +104,11 @@ def _emit(args: argparse.Namespace, obj: dict[str, Any], text_lines: list[str]) 
 
 def _read_file(path: str) -> ManifoldFile:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ManifoldFileError("(document)", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifoldFileError("(document)", f"{path} is not UTF-8 text: {exc}") from exc
     return parse_manifold_file(text)
 
 
@@ -191,26 +195,57 @@ def _signed_permutations_fixing(index: int) -> list[tuple[tuple[int, ...], tuple
     return out
 
 
-def _orbit(entries: tuple[int, ...], left, right) -> Iterator[tuple[int, ...]]:
-    """All matrices obtained from signed row permutations (left) and signed
-    column permutations (right) of a 3x3 entry tuple."""
-    rows = [entries[0:3], entries[3:6], entries[6:9]]
+def _orbit_tree(left, right) -> dict:
+    """The orbit of a 3x3 entry tuple e under signed row permutations (left)
+    and signed column permutations (right), as a prefix tree of maps.
+
+    Entry k of a member is sign * e[index] for the (index, sign) pair at
+    depth k of its path; members that share their first k pairs share a
+    path, so one comparison at a node covers all of them.
+    """
+    tree: dict = {}
     for perm_l, signs_l in left:
-        permuted = [
-            tuple(signs_l[i] * x for x in rows[perm_l[i]]) for i in range(3)
-        ]
         for perm_r, signs_r in right:
-            yield tuple(
-                signs_r[j] * permuted[i][perm_r[j]] for i in range(3) for j in range(3)
-            )
+            node = tree
+            for i, j in itertools.product(range(3), repeat=2):
+                pair = (3 * perm_l[i] + perm_r[j], signs_l[i] * signs_r[j])
+                node = node.setdefault(pair, {})
+    return tree
 
 
-def _det3(e: tuple[int, ...]) -> int:
-    return (
-        e[0] * (e[4] * e[8] - e[5] * e[7])
-        - e[1] * (e[3] * e[8] - e[5] * e[6])
-        + e[2] * (e[3] * e[7] - e[4] * e[6])
-    )
+def _is_orbit_least(entries: tuple[int, ...], node: dict, k: int = 0) -> bool:
+    """Whether no orbit member under node, all of which agree with entries
+    before position k, is lexicographically smaller than entries."""
+    for (index, sign), child in node.items():
+        diff = sign * entries[index] - entries[k]
+        if diff < 0 or (diff == 0 and not _is_orbit_least(entries, child, k + 1)):
+            return False
+    return True
+
+
+def _leads_negative(v: Sequence[int]) -> bool:
+    """Whether the first nonzero entry is negative (False for zero)."""
+    for x in v:
+        if x:
+            return x < 0
+    return False
+
+
+def _rows_completing(c: Sequence[int], rng: range) -> Iterator[tuple[int, int, int]]:
+    """Every row r in rng^3 with r . c = +-1, in lexicographic order."""
+    c0, c1, c2 = c
+    targets = (-1, 1) if c2 > 0 else (1, -1)  # ascending z when c2 != 0
+    for x, y in itertools.product(rng, repeat=2):
+        partial = x * c0 + y * c1
+        if c2 == 0:
+            if partial in (1, -1):
+                for z in rng:
+                    yield (x, y, z)
+            continue
+        for t in targets:
+            z, rem = divmod(t - partial, c2)
+            if rem == 0 and z in rng:
+                yield (x, y, z)
 
 
 def enumerate_gluings(
@@ -222,18 +257,35 @@ def enumerate_gluings(
     The symmetry quotients by signed permutations of each boundary framing
     that fix the piece's lambda axis up to sign (changes of framing induced
     by self-diffeomorphisms of the pieces, so orbit members give the same
-    manifold).  Representatives are the lexicographically first orbit
+    manifold).  Representatives are the lexicographically least orbit
     members, streamed in lexicographic order of their entries.
+
+    Only unimodular matrices are generated, row by row: a primitive r1, an
+    r2 whose cross product c = r1 x r2 is primitive, and every r3 in the box
+    with r3 . c = +-1 (that dot product is the determinant).  Flipping the
+    sign of one row or one column is a symmetry, so every row and column of
+    a least member starts with a negative entry; that cheap filter runs
+    before the full least-member test against the precomputed orbit.
+    Nothing is remembered between matrices, so memory stays constant.
     """
-    left = _signed_permutations_fixing(w.lambda_index - 1)
-    right = _signed_permutations_fixing(w_prime.lambda_index - 1)
+    orbit = _orbit_tree(
+        _signed_permutations_fixing(w.lambda_index - 1),
+        _signed_permutations_fixing(w_prime.lambda_index - 1),
+    )
     rng = range(-max_entry, max_entry + 1)
-    seen: set[tuple[int, ...]] = set()
-    for entries in itertools.product(rng, repeat=9):
-        if entries in seen or abs(_det3(entries)) != 1:
+    rows = [r for r in itertools.product(rng, repeat=3) if is_primitive(r) and _leads_negative(r)]
+    for r1, r2 in itertools.product(rows, repeat=2):
+        c = cross(r1, r2)
+        if not is_primitive(c):
             continue
-        seen.update(_orbit(entries, left, right))
-        yield glue(w, w_prime, GluingMap(IntMatrix(3, 3, entries)))
+        for r3 in _rows_completing(c, rng):
+            entries = (*r1, *r2, *r3)
+            if (
+                _leads_negative(r3)
+                and all(map(_leads_negative, zip(r1, r2, r3)))
+                and _is_orbit_least(entries, orbit)
+            ):
+                yield glue(w, w_prime, GluingMap(IntMatrix(3, 3, entries)))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

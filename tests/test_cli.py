@@ -49,7 +49,7 @@ def test_surgery_identity_slope(capsys):
 
 def test_surgery_usage_error_on_non_coprime(capsys):
     assert main(["surgery", "2", "4"]) == 1
-    assert "coprime" in capsys.readouterr().err or True
+    assert "gcd(2, 4) != 1" in capsys.readouterr().err
 
 
 def test_surgery_quiet(capsys):
@@ -115,6 +115,21 @@ def test_parse_error_on_bad_matrix(capsys, tmp_path, swap_file):
     path.write_text(json.dumps(text))
     assert main(["fibration", str(path)]) == 2
     assert "gluing.matrix" in capsys.readouterr().err
+
+
+def test_parse_error_on_integer_past_conversion_limit(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"version": "1", "pieces": [' + "1" * 5000 + "]}")
+    assert main(["fibration", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: (document): unreadable JSON: ")
+
+
+def test_parse_error_on_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"version": "1", "metadata": {"label": "\u00e9"}}'.encode("latin-1"))
+    assert main(["homology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: (document): ") and "is not UTF-8 text" in err
 
 
 def test_enumerate_disks(capsys):

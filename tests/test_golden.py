@@ -1,0 +1,72 @@
+"""Golden digests of the command line's machine-readable output.
+
+Each digest is the SHA-256 of the exit code, stdout and stderr of a fixed
+sequence of `main([...])` calls.  The digests were recorded before any
+performance work on the code they cover; a change that alters a single
+byte of user-visible output fails here.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import math
+from pathlib import Path
+
+from torusglue.cli import main
+from torusglue.pieces import PieceKind
+
+README_EXAMPLE = Path(__file__).parent / "data" / "readme_example.json"
+
+ENUMERATE_AT_1_DIGEST = (
+    "f2c6caa4e30aaef4b1d9c3c6d92bd1b02c837dd40be6fe9410dca6b964720121"
+)
+SURGERY_SLOPES_DIGEST = (
+    "8c74acb93cfd8c2c8709f693dddc384fd14aac6885cdcf741dc5a108a2de1e15"
+)
+README_FIBRATION_DIGEST = (
+    "89e8da819f3030a4a9518834c1a084204b2847dfb54cb9949fc5d0109abfe5bd"
+)
+README_HOMOLOGY_DIGEST = (
+    "1dd3332e0e11f01ad576caebebd73d59afb796fc69927e8ca695f7314c0715de"
+)
+
+
+def _digest(argvs):
+    h = hashlib.sha256()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--format", "machine-readable"])
+        h.update(f"exit {code}\n{out.getvalue()}{err.getvalue()}".encode())
+    return h.hexdigest()
+
+
+def _enumerate_at_1_argvs():
+    for k1, k2 in itertools.product(PieceKind, repeat=2):
+        yield ["enumerate", "--max-entry", "1", "--pieces", f"{k1.value},{k2.value}"]
+
+
+def _surgery_slope_argvs():
+    for q in range(31):
+        for p in range(-30, 31):
+            if math.gcd(p, q) == 1:
+                yield ["surgery", str(p), str(q)]
+
+
+def test_enumerate_at_1_all_kind_pairs():
+    assert _digest(_enumerate_at_1_argvs()) == ENUMERATE_AT_1_DIGEST
+
+
+def test_surgery_coprime_slopes_up_to_30():
+    assert _digest(_surgery_slope_argvs()) == SURGERY_SLOPES_DIGEST
+
+
+def test_readme_example_fibration():
+    assert _digest([["fibration", str(README_EXAMPLE)]]) == README_FIBRATION_DIGEST
+
+
+def test_readme_example_homology():
+    assert _digest([["homology", str(README_EXAMPLE)]]) == README_HOMOLOGY_DIGEST
