@@ -15,7 +15,7 @@ import argparse
 import sys
 from collections import Counter
 
-from torusglue.cli import enumerate_gluings, expected_h1_for_lens
+from torusglue.cli import MAX_ENUMERATION_ENTRY, enumerate_gluings, expected_h1_for_lens
 from torusglue.invariants import euler_characteristic_glued, mayer_vietoris_h1
 from torusglue.pieces import torus_times_disk
 from torusglue.surgery import classify_double_disk_gluing, lens_equivalent
@@ -23,7 +23,9 @@ from torusglue.surgery import classify_double_disk_gluing, lens_equivalent
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-entry", type=int, default=1, choices=[1, 2])
+    parser.add_argument(
+        "--max-entry", type=int, default=1, choices=range(1, MAX_ENUMERATION_ENTRY + 1)
+    )
     args = parser.parse_args()
 
     w = torus_times_disk(framing=("mu", "lambda", "s"), lambda_index=2)

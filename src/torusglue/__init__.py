@@ -21,7 +21,6 @@ from .lattice import (
     NotUnimodular,
     SNFDecomposition,
     cokernel,
-    complete_to_unimodular,
     content,
     cross,
     is_primitive,
@@ -41,10 +40,8 @@ from .pieces import (
     PieceKind,
     boundary_lambda,
     can_extend,
-    euler_characteristic,
     extension_certificate,
     knot_exterior_product,
-    make_torus_times_disk,
     sample_piece,
     surface_bundle_over_torus,
     torus_times_disk,

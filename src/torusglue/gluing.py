@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import IntMatrix, NotUnimodular
-from .pieces import (
-    ExtensionCertificate,
-    Piece,
-    boundary_lambda,
-    euler_characteristic,
-    extension_certificate,
-)
+from .pieces import ExtensionCertificate, Piece, boundary_lambda, extension_certificate
 from .torus3 import (
     CurveClass,
     FibrationOfT3,
@@ -59,10 +53,6 @@ class GluedManifold:
     w: Piece
     w_prime: Piece
     f: GluingMap
-
-    def euler_characteristic(self) -> int:
-        """Inclusion-exclusion over the gluing torus: chi(w) + chi(w') - chi(T^3)."""
-        return euler_characteristic(self.w) + euler_characteristic(self.w_prime) - 0
 
 
 @dataclass(frozen=True)

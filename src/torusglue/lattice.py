@@ -2,9 +2,9 @@
 
 Everything downstream reduces to small integer-matrix computations: gcds
 and primitive vectors, Smith normal form together with its unimodular
-transforms, cokernels presented as abelian groups, unimodular completion
-of a primitive vector, and saturation of a sublattice.  All arithmetic is
-arbitrary precision; no floating point anywhere.
+transforms, cokernels presented as abelian groups, and saturation of a
+sublattice.  All arithmetic is arbitrary precision; no floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -35,14 +35,6 @@ def content(v: Sequence[int]) -> int:
 
 def is_primitive(v: Sequence[int]) -> bool:
     return content(v) == 1
-
-
-def primitive_part(v: Sequence[int]) -> Vec:
-    """v divided by its content.  Raises on the zero vector."""
-    c = content(v)
-    if c == 0:
-        raise NonPrimitive("zero vector has no primitive part")
-    return tuple(x // c for x in v)
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -353,39 +345,36 @@ def kernel_basis(a: IntMatrix) -> list[Vec]:
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
+    """Exact inverse of a matrix of size at most 3x3 with determinant +-1.
+
+    Computed as the adjugate; dividing by det = +-1 is multiplying by det.
+    """
     if m.rows != m.cols:
         raise NotUnimodular("non-square matrix")
     n = m.rows
+    if n > 3:
+        raise ValueError(f"unimodular_inverse is implemented up to 3x3, got {n}x{n}")
     d = m.det()
     if abs(d) != 1:
         raise NotUnimodular(f"determinant {d}")
-    if n <= 3:
-        # adjugate route; dividing by det = +-1 is multiplying by det
-        if n == 0:
-            return m
-        if n == 1:
-            return IntMatrix.from_rows([[d]])
-        if n == 2:
-            a, b, c, e = m.entries
-            return IntMatrix.from_rows([[e * d, -b * d], [-c * d, a * d]])
-        r = m.to_rows()
-        # cyclic-index minors carry the cofactor sign already
-        cof = [
-            [
-                r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
-                - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3]
-                for j in range(3)
-            ]
-            for i in range(3)
+    if n == 0:
+        return m
+    if n == 1:
+        return IntMatrix.from_rows([[d]])
+    if n == 2:
+        a, b, c, e = m.entries
+        return IntMatrix.from_rows([[e * d, -b * d], [-c * d, a * d]])
+    r = m.to_rows()
+    # cyclic-index minors carry the cofactor sign already
+    cof = [
+        [
+            r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
+            - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)
         ]
-        return IntMatrix.from_rows(
-            [[cof[j][i] * d for j in range(3)] for i in range(3)]
-        )
-    snf = smith_normal_form(m)
-    if snf.diagonal != tuple([1] * n):
-        raise NotUnimodular("Smith form is not the identity")
-    return snf.V @ snf.U
+        for i in range(3)
+    ]
+    return IntMatrix.from_rows([[cof[j][i] * d for j in range(3)] for i in range(3)])
 
 
 def solve(a: IntMatrix, b: Sequence[int]) -> Vec | None:
@@ -411,32 +400,6 @@ def solve(a: IntMatrix, b: Sequence[int]) -> Vec | None:
             if i < a.cols:
                 y[i] = c[i] // di
     return snf.V.apply(y)
-
-
-def complete_to_unimodular(v: Sequence[int]) -> IntMatrix:
-    """A 3x3 matrix of determinant 1 whose first column is the primitive v.
-
-    Built from two extended gcds: with v = (a, b, c) and g = gcd(a, b) the
-    second column is the Bezout cofactor column (-y, x, 0) for a x + b y = g,
-    and the third column is (-w a/g, -w b/g, u) for g u + c w = 1; when
-    a = b = 0 the completion is the cyclic permutation sending e1 to v.
-    The column order is fixed, so the output is deterministic.
-    """
-    if len(v) != 3:
-        raise ValueError("completion implemented for length-3 vectors")
-    if content(v) != 1:
-        raise NonPrimitive(f"content {content(v)} != 1")
-    a, b, c = v
-    g, x, y = xgcd(a, b)
-    if g == 0:
-        # v = (0, 0, +-1)
-        return IntMatrix.from_columns([(0, 0, c), (1, 0, 0), (0, c, 0)])
-    _, u, w = xgcd(g, c)
-    m = IntMatrix.from_columns(
-        [(a, b, c), (-y, x, 0), (-w * (a // g), -w * (b // g), u)]
-    )
-    assert m.det() == 1
-    return m
 
 
 def _hermite_row_basis(rows: Sequence[Vec]) -> list[Vec]:
@@ -482,7 +445,8 @@ def saturate(vectors: Iterable[Sequence[int]]) -> list[Vec]:
     quotient is torsion-free.  With U A V = D for the matrix A of input rows,
     the rows of A are integer combinations of d_i * (row i of V^-1), so the
     rows of V^-1 at nonzero diagonal positions are a basis; it is returned
-    in Hermite form so equal lattices get equal bases.
+    in Hermite form so equal lattices get equal bases.  Vectors have length
+    at most 3, the sizes unimodular_inverse handles.
     """
     rows = [tuple(r) for r in vectors]
     if not rows:

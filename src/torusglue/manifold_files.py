@@ -133,7 +133,9 @@ def parse_manifold_file(text: str) -> ManifoldFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifoldFileError("(document)", f"not valid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer past Python's int-string conversion limit
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's int-string conversion limit, or nesting
+        # past the interpreter's recursion limit
         raise ManifoldFileError("(document)", f"unreadable JSON: {exc}") from exc
     doc = _expect(doc, dict, "(document)", "a JSON object")
     version = _expect(doc.get("version"), str, "version", "a version string")

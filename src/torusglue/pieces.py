@@ -115,11 +115,6 @@ def torus_times_disk(
     )
 
 
-def make_torus_times_disk() -> Piece:
-    """The canonical T^2 x D^2 piece: framing (s, mu, lambda), lambda last."""
-    return torus_times_disk()
-
-
 def knot_exterior_product(
     genus: int,
     monodromy_label: str = "",
@@ -175,7 +170,7 @@ def sample_piece(kind: PieceKind) -> Piece:
       the fiber boundary null-homologous and the base circles surviving.
     """
     if kind is PieceKind.TORUS_TIMES_DISK:
-        return make_torus_times_disk()
+        return torus_times_disk()
     if kind is PieceKind.KNOT_EXTERIOR_PRODUCT:
         return knot_exterior_product(
             genus=1,
@@ -200,14 +195,6 @@ def boundary_lambda(p: Piece) -> CurveClass:
     return CurveClass(tuple(1 if j == p.lambda_index - 1 else 0 for j in range(3)))
 
 
-def euler_characteristic(p: Piece) -> int:
-    """0 for every piece kind: each fibers with a circle or torus factor in play.
-
-    chi is multiplicative over fiber bundles and chi(S^1) = chi(T^2) = 0.
-    """
-    return 0
-
-
 def can_extend(p: Piece, fib: FibrationOfT3) -> bool:
     """Whether the boundary fibration extends over the piece: phi(lambda) = 0."""
     return dot(fib.phi, boundary_lambda(p).v) == 0
@@ -229,14 +216,6 @@ class ExtensionCertificate:
     def __post_init__(self) -> None:
         if abs(IntMatrix.from_columns([self.gamma.v, self.lam.v, self.alpha.v]).det()) != 1:
             raise ValueError("certificate triple is not a basis of Z^3")
-
-    @property
-    def basis(self) -> tuple[CurveClass, CurveClass, CurveClass]:
-        return (self.gamma, self.lam, self.alpha)
-
-    @property
-    def fibration_direction(self) -> CurveClass:
-        return self.alpha
 
 
 def extension_certificate(p: Piece, fib: FibrationOfT3) -> ExtensionCertificate:

@@ -200,9 +200,6 @@ def generalized_fs_surgery(
     return x, find_fibration(x)
 
 
-UNKNOWN_SIGNATURE = None
-
-
 @dataclass(frozen=True)
 class ObstructionReport:
     """Necessary conditions for a 4-manifold to contain a torus-fibered

@@ -11,7 +11,7 @@ lattice is ker n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .lattice import (
     IntMatrix,
@@ -23,7 +23,6 @@ from .lattice import (
     dot,
     is_primitive,
     kernel_basis,
-    smith_normal_form,
     unimodular_inverse,
     xgcd,
 )
@@ -101,7 +100,10 @@ class FibrationOfT3:
 
     The fiber is the 2-torus with homology ker(phi); fiber_basis is a basis
     of that kernel lattice (the kernel of an integer covector is saturated,
-    so the basis generates every class the fiber contains).
+    so the basis generates every class the fiber contains).  Two kernel
+    vectors span the whole kernel exactly when their cross product is
+    +-phi: the cross product is always a multiple k * phi, and |k| is the
+    index of their span in the kernel.
     """
 
     phi: Vec
@@ -117,8 +119,8 @@ class FibrationOfT3:
         for b in self.fiber_basis:
             if dot(self.phi, b) != 0:
                 raise ValueError(f"fiber basis vector {b} is not killed by {self.phi}")
-        diag = smith_normal_form(IntMatrix.from_rows(self.fiber_basis)).diagonal
-        if diag != (1, 1):
+        b1, b2 = self.fiber_basis
+        if cross(b1, b2) not in (self.phi, tuple(-x for x in self.phi)):
             raise ValueError("fiber_basis does not span the full kernel lattice")
 
     def annihilates(self, c: CurveClass) -> bool:
@@ -138,38 +140,17 @@ def torus_through(a: CurveClass, b: CurveClass) -> TorusClass:
     return TorusClass.of(tuple(x // c for x in n))
 
 
-def _normalized_primitive_vectors() -> Iterator[Vec]:
-    """All sign-normalized primitive vectors in Z^3, in a fixed order.
-
-    Order: shells of increasing max-abs entry; lexicographic (entrywise
-    integer comparison) within a shell.  Every deterministic "pick some
-    torus/curve" choice below uses this enumeration.
-    """
-    bound = 1
-    while True:
-        for x in range(0, bound + 1):
-            for y in range(-bound, bound + 1):
-                for z in range(-bound, bound + 1):
-                    v = (x, y, z)
-                    if max(abs(x), abs(y), abs(z)) != bound:
-                        continue
-                    if not _is_sign_normalized(v) or content(v) != 1:
-                        continue
-                    yield v
-        bound += 1
-
-
 def canonical_torus_containing(a: CurveClass) -> TorusClass:
     """A deterministic essential torus containing the given curve.
 
-    Among the covectors annihilating the curve, takes the one of minimal
-    max-abs entry, ties broken lexicographically.  In particular (0,0,1) is
-    contained in the torus (0,1,0), and (1,0,0) in (0,0,1).
+    The torus through the curve and the first standard basis vector not
+    parallel to it: e2 for the curve e1, e1 for every other curve.  For
+    the standard basis vectors, the only curves the fibration engine
+    passes here, this is also the covector of minimal max-abs entry with
+    ties broken lexicographically: (0,0,1) for e1 and e2, (0,1,0) for e3.
     """
-    for n in _normalized_primitive_vectors():
-        if dot(n, a.v) == 0:
-            return TorusClass(n)
-    raise AssertionError("unreachable: every curve lies on some essential torus")
+    e = (0, 1, 0) if a.v == (1, 0, 0) else (1, 0, 0)
+    return torus_through(a, CurveClass(e))
 
 
 def fibration_from_torus(t: TorusClass) -> FibrationOfT3:

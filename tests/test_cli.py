@@ -2,18 +2,19 @@ import json
 
 import pytest
 
+from torusglue import cli
 from torusglue.cli import main
 from torusglue.gluing import GluingMap
-from torusglue.lattice import IntMatrix
+from torusglue.lattice import AbelianGroup, IntMatrix
 from torusglue.manifold_files import ManifoldFile, serialize_manifold_file
-from torusglue.pieces import PieceKind, make_torus_times_disk, sample_piece
+from torusglue.pieces import PieceKind, sample_piece, torus_times_disk
 
 
 @pytest.fixture
 def swap_file(tmp_path):
     mf = ManifoldFile(
         version="1",
-        pieces=(make_torus_times_disk(), make_torus_times_disk()),
+        pieces=(torus_times_disk(), torus_times_disk()),
         gluing=GluingMap(IntMatrix.from_columns([(1, 0, 0), (0, 0, 1), (0, 1, 0)])),
         orientation_note="exchanges mu and lambda",
     )
@@ -26,7 +27,7 @@ def swap_file(tmp_path):
 def identity_file(tmp_path):
     mf = ManifoldFile(
         version="1",
-        pieces=(make_torus_times_disk(), make_torus_times_disk()),
+        pieces=(torus_times_disk(), torus_times_disk()),
         gluing=GluingMap(IntMatrix.identity(3)),
     )
     path = tmp_path / "identity.json"
@@ -130,6 +131,24 @@ def test_parse_error_on_non_utf8_file(capsys, tmp_path):
     assert main(["homology", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: (document): ") and "is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("command", ["fibration", "homology"])
+def test_parse_error_on_deep_nesting(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: (document): unreadable JSON: ")
+
+
+def test_exit_3_when_homology_disagrees(capsys, monkeypatch):
+    # H1 = 0 contradicts the lens classification of every row
+    monkeypatch.setattr(cli, "mayer_vietoris_h1", lambda manifold: AbelianGroup(0, ()))
+    assert main(["surgery", "2", "3"]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == "L(3,2); H1 = 0; chi = 0; INCONSISTENT"
+    assert main(["enumerate", "--max-entry", "1", "--format", "machine-readable"]) == 3
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 62 and not any(r["consistent"] for r in rows)
 
 
 def test_enumerate_disks(capsys):

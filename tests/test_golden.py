@@ -19,6 +19,8 @@ from torusglue.cli import main
 from torusglue.pieces import PieceKind
 
 README_EXAMPLE = Path(__file__).parent / "data" / "readme_example.json"
+# the README document with h1/inclusion declared on its second piece
+HOMOLOGY_EXAMPLE = Path(__file__).parent / "data" / "homology_example.json"
 
 ENUMERATE_AT_1_DIGEST = (
     "f2c6caa4e30aaef4b1d9c3c6d92bd1b02c837dd40be6fe9410dca6b964720121"
@@ -31,6 +33,9 @@ README_FIBRATION_DIGEST = (
 )
 README_HOMOLOGY_DIGEST = (
     "1dd3332e0e11f01ad576caebebd73d59afb796fc69927e8ca695f7314c0715de"
+)
+HOMOLOGY_EXAMPLE_DIGEST = (
+    "18387a343fb1a2bc4ce02ce0822f0ddaf7b4ed2d9a6bc5f0c406e544b31d39ca"
 )
 
 
@@ -70,3 +75,7 @@ def test_readme_example_fibration():
 
 def test_readme_example_homology():
     assert _digest([["homology", str(README_EXAMPLE)]]) == README_HOMOLOGY_DIGEST
+
+
+def test_homology_example():
+    assert _digest([["homology", str(HOMOLOGY_EXAMPLE)]]) == HOMOLOGY_EXAMPLE_DIGEST

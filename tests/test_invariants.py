@@ -15,7 +15,6 @@ from torusglue.pieces import (
     Piece,
     PieceKind,
     knot_exterior_product,
-    make_torus_times_disk,
     sample_piece,
     torus_times_disk,
 )
@@ -30,7 +29,7 @@ def test_h1_of_slope_2_3_surgery():
 
 
 def test_h1_identity_gluing_of_disks():
-    w = make_torus_times_disk()
+    w = torus_times_disk()
     x = glue(w, w, GluingMap(IntMatrix.identity(3)))
     assert mayer_vietoris_h1(x) == AbelianGroup(2, ())
 
@@ -61,7 +60,7 @@ def test_h1_with_declared_torsion():
         h1=AbelianGroup(1, (2,)),
         inclusion=IntMatrix.from_rows([(1, 0, 0), (0, 0, 1)]),
     )
-    wp = make_torus_times_disk()
+    wp = torus_times_disk()
     f = GluingMap(IntMatrix.from_columns([(0, 0, 1), (1, 0, 0), (0, 1, 0)]))
     x = glue(w, wp, f)
     assert mayer_vietoris_h1(x) == AbelianGroup(1, (2,))
@@ -73,7 +72,7 @@ def test_presentation_shape():
         h1=AbelianGroup(1, (2,)),
         inclusion=IntMatrix.from_rows([(1, 0, 0), (0, 0, 1)]),
     )
-    wp = make_torus_times_disk()
+    wp = torus_times_disk()
     pres = h1_presentation(glue(w, wp, GluingMap(IntMatrix.identity(3))))
     assert pres.generators == 4
     # 3 boundary columns + 1 torsion relator
@@ -83,7 +82,7 @@ def test_presentation_shape():
 
 def test_missing_h1_data():
     w = knot_exterior_product(genus=1)  # no declared data
-    x = glue(w, make_torus_times_disk(), GluingMap(IntMatrix.identity(3)))
+    x = glue(w, torus_times_disk(), GluingMap(IntMatrix.identity(3)))
     with pytest.raises(MissingH1Data):
         mayer_vietoris_h1(x)
 

@@ -10,7 +10,7 @@ from torusglue.manifold_files import (
     parse_manifold_file,
     serialize_manifold_file,
 )
-from torusglue.pieces import PieceKind, make_torus_times_disk, sample_piece
+from torusglue.pieces import PieceKind, sample_piece, torus_times_disk
 
 
 def example_file(**overrides):
@@ -60,7 +60,7 @@ def test_parse_example():
 def test_canonical_round_trip_is_byte_identical():
     mf = ManifoldFile(
         version="1",
-        pieces=(make_torus_times_disk(), sample_piece(PieceKind.SURFACE_BUNDLE_OVER_TORUS)),
+        pieces=(torus_times_disk(), sample_piece(PieceKind.SURFACE_BUNDLE_OVER_TORUS)),
         gluing=GluingMap(IntMatrix.from_columns([(0, 1, 0), (0, 0, 1), (1, 0, 0)])),
         orientation_note="",
         metadata={"name": "round trip"},

@@ -11,10 +11,8 @@ from torusglue.pieces import (
     PieceKind,
     boundary_lambda,
     can_extend,
-    euler_characteristic,
     extension_certificate,
     knot_exterior_product,
-    make_torus_times_disk,
     sample_piece,
     surface_bundle_over_torus,
     torus_times_disk,
@@ -28,8 +26,8 @@ def all_piece_fixtures():
     return [sample_piece(kind) for kind in PieceKind]
 
 
-def test_make_torus_times_disk_canonical_data():
-    p = make_torus_times_disk()
+def test_torus_times_disk_canonical_data():
+    p = torus_times_disk()
     assert p.kind is PieceKind.TORUS_TIMES_DISK
     assert p.genus == 0
     assert p.framing == ("s", "mu", "lambda")
@@ -37,7 +35,6 @@ def test_make_torus_times_disk_canonical_data():
     assert p.h1 == AbelianGroup(2, ())
     # lambda bounds the disk fiber, so the inclusion kills exactly e3
     assert p.inclusion.to_rows() == ((1, 0, 0), (0, 1, 0))
-    assert euler_characteristic(p) == 0
     assert boundary_lambda(p).v == (0, 0, 1)
 
 
@@ -50,16 +47,10 @@ def test_torus_times_disk_other_framings():
 
 
 def test_boundary_lambda_examples():
-    assert boundary_lambda(make_torus_times_disk()).v == (0, 0, 1)
+    assert boundary_lambda(torus_times_disk()).v == (0, 0, 1)
     assert boundary_lambda(knot_exterior_product(genus=1, lambda_index=2)).v == (0, 1, 0)
     for p in all_piece_fixtures():
         assert content(boundary_lambda(p).v) == 1
-
-
-def test_euler_characteristic_all_kinds():
-    assert euler_characteristic(surface_bundle_over_torus(genus=3)) == 0
-    assert euler_characteristic(knot_exterior_product(genus=2)) == 0
-    assert euler_characteristic(make_torus_times_disk()) == 0
 
 
 def test_piece_validation():
@@ -110,18 +101,16 @@ def test_can_extend_exhaustive_small_box():
 
 
 def test_extension_certificate_coordinate_case():
-    p = make_torus_times_disk()
+    p = torus_times_disk()
     fib = fibration_from_torus(TorusClass.of((1, 0, 0)))
     cert = extension_certificate(p, fib)
     assert cert.gamma.v == (0, 1, 0)
     assert cert.lam.v == (0, 0, 1)
     assert cert.alpha.v == (1, 0, 0)
-    assert cert.fibration_direction == cert.alpha
-    assert cert.basis == (cert.gamma, cert.lam, cert.alpha)
 
 
 def test_extension_certificate_obstructed():
-    p = make_torus_times_disk()
+    p = torus_times_disk()
     fib = fibration_from_torus(TorusClass.of((0, 0, 1)))
     assert not can_extend(p, fib)
     with pytest.raises(ExtensionObstructed):

@@ -6,7 +6,7 @@ import pytest
 from torusglue.gluing import GluingMap, glue
 from torusglue.invariants import mayer_vietoris_h1
 from torusglue.lattice import AbelianGroup, IntMatrix
-from torusglue.pieces import PieceKind, boundary_lambda, make_torus_times_disk, sample_piece
+from torusglue.pieces import PieceKind, boundary_lambda, sample_piece, torus_times_disk
 from torusglue.surgery import (
     LensSpace,
     MeridianConditionViolated,
@@ -154,7 +154,7 @@ def test_completion_independence():
 def test_classify_rejects_other_pieces():
     x = glue(
         sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT),
-        make_torus_times_disk(),
+        torus_times_disk(),
         GluingMap(IntMatrix.identity(3)),
     )
     with pytest.raises(ValueError):

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torusglue.lattice import IntMatrix, NonPrimitive, NotUnimodular, content, cross, dot
+from torusglue.lattice import (
+    IntMatrix,
+    NonPrimitive,
+    NotUnimodular,
+    content,
+    cross,
+    dot,
+    kernel_basis,
+    smith_normal_form,
+)
 from torusglue.torus3 import (
     CurveClass,
     FibrationOfT3,
@@ -75,11 +84,25 @@ def test_canonical_torus_pinned_examples():
 
 
 def test_canonical_torus_matches_oracle():
-    for v in normalized_box(2):
+    # the engine only passes standard basis vectors; there the rule agrees
+    # with the minimal-max-entry oracle
+    for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         c = CurveClass(v)
-        t = canonical_torus_containing(c)
+        assert canonical_torus_containing(c).n == oracle_canonical_annihilator(c)
+    # everywhere else it is the torus through the curve and e1 (e2 for e1)
+    for v in normalized_box(2):
+        t = canonical_torus_containing(CurveClass(v))
         assert dot(t.n, v) == 0
-        assert t.n == oracle_canonical_annihilator(c)
+        e = (0, 1, 0) if v == (1, 0, 0) else (1, 0, 0)
+        n = cross(v, e)
+        assert t.n == sign_normalize(tuple(x // content(n) for x in n))
+
+
+@pytest.mark.parametrize("v", [(104729, 7919, 1), (10007, 9973, 9967)])
+def test_canonical_torus_large_curves(v):
+    # the rule is a closed form, so large entries cost no search
+    t = canonical_torus_containing(CurveClass(v))
+    assert contains(t, CurveClass(v))
 
 
 def test_fibration_from_torus_coordinate():
@@ -108,6 +131,26 @@ def test_fibration_validation():
     with pytest.raises(ValueError):
         # spans only an index-2 sublattice of the kernel
         FibrationOfT3(phi=(0, 0, 1), fiber_basis=((2, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError):
+        FibrationOfT3(phi=(0, 0, 1), fiber_basis=((1, 1, 0), (-2, -2, 0)))
+    # either orientation of a kernel basis is accepted
+    FibrationOfT3(phi=(0, 0, 1), fiber_basis=((0, 1, 0), (1, 0, 0)))
+
+
+@given(primitive3, st.tuples(*[st.integers(-4, 4)] * 4))
+def test_fibration_validation_matches_smith_form(phi, coeffs):
+    # the cross-product check accepts exactly the kernel pairs whose Smith
+    # form is (1, 1), i.e. the pairs that span the whole kernel lattice
+    k1, k2 = kernel_basis(IntMatrix.from_rows([phi]))
+    a, b, c, d = coeffs
+    basis = tuple(tuple(x * u + y * w for u, w in zip(k1, k2)) for x, y in ((a, b), (c, d)))
+    spans = smith_normal_form(IntMatrix.from_rows(basis)).diagonal == (1, 1)
+    try:
+        FibrationOfT3(phi=phi, fiber_basis=basis)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == spans
 
 
 def test_contains_examples():
