@@ -15,10 +15,8 @@ import argparse
 import sys
 from collections import Counter
 
-from torusglue.cli import MAX_ENUMERATION_ENTRY, enumerate_gluings, expected_h1_for_lens
-from torusglue.invariants import euler_characteristic_glued, mayer_vietoris_h1
-from torusglue.pieces import torus_times_disk
-from torusglue.surgery import classify_double_disk_gluing, lens_equivalent
+from torusglue.enumeration import MAX_ENUMERATION_ENTRY, check, enumerate_gluings
+from torusglue.surgery import lens_equivalent, surgery_disk_pair
 
 
 def main() -> int:
@@ -28,20 +26,13 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    w = torus_times_disk(framing=("mu", "lambda", "s"), lambda_index=2)
-    w_prime = torus_times_disk(framing=("lambda", "mu", "s"), lambda_index=1)
-
     counts: Counter = Counter()
     representatives: list = []
-    rows = 0
     bad = 0
-    for manifold in enumerate_gluings(args.max_entry, w, w_prime):
-        rows += 1
-        lens = classify_double_disk_gluing(manifold)
-        if mayer_vietoris_h1(manifold) != expected_h1_for_lens(lens):
-            bad += 1
-        if euler_characteristic_glued(manifold) != 0:
-            bad += 1
+    for manifold in enumerate_gluings(args.max_entry, *surgery_disk_pair()):
+        verdict = check(manifold)
+        bad += not verdict.consistent
+        lens = verdict.lens
         rep = next((r for r in representatives if lens_equivalent(lens, r)), None)
         if rep is None:
             representatives.append(lens)
@@ -49,7 +40,7 @@ def main() -> int:
         counts[str(rep)] += 1
 
     print(f"gluing entries in [-{args.max_entry}, {args.max_entry}]: "
-          f"{rows} symmetry classes of gluings")
+          f"{sum(counts.values())} symmetry classes of gluings")
     print()
     print(f"{'lens space':>12}  {'gluings':>8}")
     for name, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):

@@ -3,7 +3,7 @@
 
 For every coprime slope (p, q) in the requested box this classifies the
 surgered manifold as S^1 x L(q,p), verifies the classification against the
-Mayer-Vietoris homology computation, and then groups the family by
+Mayer-Vietoris homology computation and chi = 0, and then groups the family by
 unoriented lens-space equivalence to show how many distinct manifolds the
 box actually contains.
 
@@ -15,9 +15,9 @@ import math
 import sys
 from collections import defaultdict
 
-from torusglue.cli import expected_h1_for_lens
-from torusglue.invariants import mayer_vietoris_h1
-from torusglue.surgery import SurgerySpec, lens_equivalent, unknot_torus_surgery
+from torusglue.enumeration import check
+from torusglue.gluing import GluingMap, glue
+from torusglue.surgery import SurgerySpec, lens_equivalent, surgery_disk_pair
 
 
 def main() -> int:
@@ -31,10 +31,9 @@ def main() -> int:
         for p in range(-args.max_p, args.max_p + 1):
             if math.gcd(p, q) != 1:
                 continue
-            manifold, lens = unknot_torus_surgery(SurgerySpec.from_slope(p, q))
-            h1 = mayer_vietoris_h1(manifold)
-            ok = h1 == expected_h1_for_lens(lens)
-            rows.append((p, q, lens, h1, ok))
+            spec = SurgerySpec.from_slope(p, q)
+            verdict = check(glue(*surgery_disk_pair(), GluingMap(spec.completion)))
+            rows.append((p, q, verdict.lens, verdict.h1, verdict.consistent))
 
     print(f"{'slope':>10}  {'result':>8}  {'H1':>10}  check")
     for p, q, lens, h1, ok in rows:
@@ -50,7 +49,7 @@ def main() -> int:
     print()
     print(f"{len(rows)} slopes, {distinct} distinct manifolds up to unoriented equivalence")
     if mismatches:
-        print(f"{len(mismatches)} homology mismatches")
+        print(f"{len(mismatches)} homology/chi mismatches")
         return 1
     print("all classifications agree with the homology computation")
     return 0

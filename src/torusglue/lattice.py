@@ -345,25 +345,17 @@ def kernel_basis(a: IntMatrix) -> list[Vec]:
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix of size at most 3x3 with determinant +-1.
+    """Exact inverse of a 3x3 matrix with determinant +-1.
 
     Computed as the adjugate; dividing by det = +-1 is multiplying by det.
     """
     if m.rows != m.cols:
         raise NotUnimodular("non-square matrix")
-    n = m.rows
-    if n > 3:
-        raise ValueError(f"unimodular_inverse is implemented up to 3x3, got {n}x{n}")
     d = m.det()
     if abs(d) != 1:
         raise NotUnimodular(f"determinant {d}")
-    if n == 0:
-        return m
-    if n == 1:
-        return IntMatrix.from_rows([[d]])
-    if n == 2:
-        a, b, c, e = m.entries
-        return IntMatrix.from_rows([[e * d, -b * d], [-c * d, a * d]])
+    if m.rows != 3:
+        raise ValueError(f"unimodular_inverse takes 3x3 matrices, got {m.rows}x{m.cols}")
     r = m.to_rows()
     # cyclic-index minors carry the cofactor sign already
     cof = [
@@ -446,7 +438,7 @@ def saturate(vectors: Iterable[Sequence[int]]) -> list[Vec]:
     the rows of A are integer combinations of d_i * (row i of V^-1), so the
     rows of V^-1 at nonzero diagonal positions are a basis; it is returned
     in Hermite form so equal lattices get equal bases.  Vectors have length
-    at most 3, the sizes unimodular_inverse handles.
+    3, the size unimodular_inverse handles.
     """
     rows = [tuple(r) for r in vectors]
     if not rows:

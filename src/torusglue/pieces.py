@@ -46,9 +46,9 @@ class Piece:
     (1-based) says which basis vector is the fiber-boundary curve lambda.
     h1 and inclusion (the matrix of H_1(T^3) -> H_1(piece) in the declared
     generators, free generators first, then one generator per torsion
-    factor) may be omitted for the two fibered kinds; T^2 x D^2 always has
-    its canonical values: H_1 = Z^2 and inclusion killing exactly lambda,
-    which bounds the disk fiber.
+    factor) may be omitted for the two fibered kinds.  Any declared
+    inclusion kills lambda, the fiber boundary; T^2 x D^2 always has its
+    canonical values, H_1 = Z^2 and an inclusion killing exactly lambda.
     """
 
     kind: PieceKind
@@ -77,15 +77,14 @@ class Piece:
                 raise ValueError(
                     f"inclusion has {self.inclusion.rows} rows but h1 has {gens} generators"
                 )
+            if any(self.inclusion.column(self.lambda_index - 1)):
+                raise ValueError("lambda bounds the fiber surface, so it must map to 0")
         if self.kind is PieceKind.TORUS_TIMES_DISK:
             if self.genus != 0:
                 raise ValueError("T^2 x D^2 has a genus-0 (disk) fiber")
             if self.h1 != AbelianGroup(2, ()):
                 raise ValueError("T^2 x D^2 has H_1 = Z^2")
-            lam = self.lambda_index - 1
-            if self.inclusion.column(lam) != (0, 0):
-                raise ValueError("the lambda curve of T^2 x D^2 bounds, so it must map to 0")
-            others = [self.inclusion.column(j) for j in range(3) if j != lam]
+            others = [self.inclusion.column(j) for j in range(3) if j != self.lambda_index - 1]
             if abs(IntMatrix.from_columns(others).det()) != 1:
                 raise ValueError("the non-lambda boundary classes must generate H_1(T^2 x D^2)")
 

@@ -134,18 +134,23 @@ class SurgerySpec:
         return cls(p=p, q=q, completion=completion)
 
 
+def surgery_disk_pair() -> tuple[Piece, Piece]:
+    """The pieces of a surgery along S^1 x (unknot): its complement in
+    S^1 x S^3, T^2 x D^2 framed (mu, lambda, s) with lambda bounding the
+    Seifert disk, and the glued T^2 x D^2 with its disk boundary first."""
+    return (
+        torus_times_disk(framing=("mu", "lambda", "s"), lambda_index=2),
+        torus_times_disk(framing=("lambda", "mu", "s"), lambda_index=1),
+    )
+
+
 def unknot_torus_surgery(spec: SurgerySpec) -> tuple[GluedManifold, LensSpace]:
     """Build the surgered manifold and classify it as S^1 times a lens space.
 
-    The complement of S^1 x (unknot) in S^1 x S^3 is T^2 x D^2 framed
-    (mu, lambda, s) with lambda bounding the Seifert disk; the glued piece
-    is another T^2 x D^2 with its disk boundary first.  The lens parameters
-    are computed from the gluing (via the fiber's genus-one splitting), not
-    copied from the slope.
+    The lens parameters are computed from the gluing (via the fiber's
+    genus-one splitting), not copied from the slope.
     """
-    complement = torus_times_disk(framing=("mu", "lambda", "s"), lambda_index=2)
-    new_piece = torus_times_disk(framing=("lambda", "mu", "s"), lambda_index=1)
-    x = glue(complement, new_piece, GluingMap(spec.completion))
+    x = glue(*surgery_disk_pair(), GluingMap(spec.completion))
     return x, classify_double_disk_gluing(x)
 
 

@@ -11,7 +11,8 @@ import random
 import time
 from itertools import combinations
 
-from torusglue.cli import enumerate_gluings, main
+from torusglue.cli import main
+from torusglue.enumeration import enumerate_gluings
 from torusglue.gluing import GluingMap, glue, find_fibration
 from torusglue.invariants import euler_characteristic_glued, mayer_vietoris_h1
 from torusglue.lattice import (
@@ -24,8 +25,14 @@ from torusglue.lattice import (
     smith_normal_form,
     solve,
 )
-from torusglue.pieces import PieceKind, boundary_lambda, sample_piece, torus_times_disk
-from torusglue.surgery import LensSpace, SurgerySpec, lens_equivalent, unknot_torus_surgery
+from torusglue.pieces import PieceKind, boundary_lambda, sample_piece
+from torusglue.surgery import (
+    LensSpace,
+    SurgerySpec,
+    lens_equivalent,
+    surgery_disk_pair,
+    unknot_torus_surgery,
+)
 from torusglue.torus3 import CurveClass, fibration_from_torus, sign_normalize, torus_through
 
 from conftest import random_unimodular
@@ -174,14 +181,7 @@ def test_criterion_6_chi_vanishes(capsys):
         assert euler_characteristic_glued(x) == 0
         checked += 1
     # the disk-pair table itself is stable
-    disk_rows = sum(
-        1
-        for _ in enumerate_gluings(
-            1,
-            torus_times_disk(framing=("mu", "lambda", "s"), lambda_index=2),
-            torus_times_disk(framing=("lambda", "mu", "s"), lambda_index=1),
-        )
-    )
+    disk_rows = sum(1 for _ in enumerate_gluings(1, *surgery_disk_pair()))
     assert disk_rows == DISK_PAIR_ROWS_AT_1
     with capsys.disabled():
         print(f"[acceptance 6] PASS chi chain: {checked} glued manifolds, all chi = 0")

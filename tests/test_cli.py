@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from torusglue import cli
+from torusglue import enumeration
 from torusglue.cli import main
 from torusglue.gluing import GluingMap
 from torusglue.lattice import AbelianGroup, IntMatrix
@@ -141,9 +142,43 @@ def test_parse_error_on_deep_nesting(capsys, tmp_path, command):
     assert capsys.readouterr().err.startswith("error: (document): unreadable JSON: ")
 
 
+HOMOLOGY_EXAMPLE = Path(__file__).parent / "data" / "homology_example.json"
+# parses, but the answers built from it pass Python's 4300-digit str limit
+NINES = "9" * 4000
+
+
+def test_parse_error_when_inclusion_does_not_kill_lambda(capsys, tmp_path):
+    doc = json.loads(HOMOLOGY_EXAMPLE.read_text())
+    doc["pieces"][1]["inclusion"] = [[1, 1, 0], [0, 0, 1]]  # lambda = e2 maps to (1, 0)
+    path = tmp_path / "lambda_survives.json"
+    path.write_text(json.dumps(doc))
+    assert main(["homology", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: pieces[1]: lambda bounds the fiber")
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine-readable"])
+def test_surgery_answer_too_long_to_print(capsys, fmt):
+    argv = ["surgery", "1", NINES, "--completion-seed", NINES, "--format", fmt]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: the answer has an integer of more than")
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine-readable"])
+def test_fibration_answer_too_long_to_print(capsys, tmp_path, fmt):
+    doc = json.loads(HOMOLOGY_EXAMPLE.read_text())
+    n = int(NINES)
+    doc["gluing"]["matrix"] = [[1, n, n], [0, 1, n], [0, 0, 1]]
+    path = tmp_path / "huge_gluing.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fibration", str(path), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: (document): the answer has an integer of more than")
+
+
 def test_exit_3_when_homology_disagrees(capsys, monkeypatch):
-    # H1 = 0 contradicts the lens classification of every row
-    monkeypatch.setattr(cli, "mayer_vietoris_h1", lambda manifold: AbelianGroup(0, ()))
+    # H1 = 0 contradicts the lens classification of every row; both commands
+    # reach the homology computation only through enumeration.check
+    monkeypatch.setattr(enumeration, "mayer_vietoris_h1", lambda manifold: AbelianGroup(0, ()))
     assert main(["surgery", "2", "3"]) == 3
     assert capsys.readouterr().out.splitlines()[0] == "L(3,2); H1 = 0; chi = 0; INCONSISTENT"
     assert main(["enumerate", "--max-entry", "1", "--format", "machine-readable"]) == 3

@@ -13,7 +13,7 @@ import itertools
 
 import pytest
 
-from torusglue.cli import enumerate_gluings
+from torusglue.enumeration import enumerate_gluings
 from torusglue.pieces import torus_times_disk
 
 LAMBDA_PAIRS = list(itertools.product((1, 2, 3), repeat=2))

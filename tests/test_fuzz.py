@@ -1,4 +1,4 @@
-"""Mutation fuzzing of manifold files through the command line.
+"""Fuzzing of the command line: mutated manifold files, and argument lists.
 
 Valid documents (every piece-kind pair under a few gluings, plus the
 README example without declared homology on its second piece) are
@@ -7,6 +7,11 @@ integer, an integer of up to 5000 digits (past Python's int-string
 conversion limit), or a value nested past the recursion limit.  Whatever
 the mutation, `fibration` and `homology` must end in a documented exit
 code, never in an exception.
+
+Argument lists for every subcommand carry integers of 1, 40 and 4000
+digits, unknown or malformed piece kinds, out-of-range `--max-entry`
+values and arbitrary `--sigma` text, with an argument sometimes dropped or
+added.  They too must end in a documented exit code.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import string
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusglue.cli import main
@@ -28,6 +33,8 @@ from torusglue.gluing import GluingMap
 from torusglue.lattice import IntMatrix
 from torusglue.manifold_files import ManifoldFile, serialize_manifold_file
 from torusglue.pieces import PieceKind, sample_piece
+
+DATA = Path(__file__).parent / "data"
 
 GLUING_COLUMNS = [
     [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
@@ -48,7 +55,7 @@ def _valid_documents() -> list[dict]:
             gluing=GluingMap(IntMatrix.from_columns(cols)),
         )
         docs.append(json.loads(serialize_manifold_file(mf)))
-    docs.append(json.loads((Path(__file__).parent / "data" / "readme_example.json").read_text()))
+    docs.append(json.loads((DATA / "readme_example.json").read_text()))
     return docs
 
 
@@ -138,3 +145,65 @@ def test_mutated_manifold_files_exit_cleanly(fuzz_file, data):
         assert code in (0, 1, 2)
         if code == 2:
             assert err.getvalue().startswith("error: ")
+
+
+INTS = st.tuples(
+    st.sampled_from(["", "-"]),
+    st.sampled_from([1, 40, 4000]).flatmap(
+        lambda n: st.integers(10 ** (n - 1) if n > 1 else 0, 10**n - 1)
+    ),
+).map(lambda t: t[0] + str(t[1]))
+# a value left on its own when its flag is dropped is read as an option, and
+# -h would print help and raise SystemExit (argparse's contract), so text
+# values never start with "-"
+TEXT = st.text(max_size=12).filter(lambda s: not s.startswith("-"))
+KIND_WORDS = [k.value for k in PieceKind] + ["torus", "", " torus_times_disk", "TORUS_TIMES_DISK"]
+PIECES = st.lists(st.sampled_from(KIND_WORDS), min_size=1, max_size=3).map(",".join) | TEXT
+# 1 is in range but enumerates in well under a second; 2 would take seconds
+MAX_ENTRIES = INTS.filter(lambda s: s not in ("1", "2")) | st.just("1")
+SIGMAS = st.sampled_from(["unknown", "UNKNOWN", "0"]) | INTS | TEXT
+FILES = [
+    str(DATA / "homology_example.json"), str(DATA / "readme_example.json"), str(DATA), "missing.json"
+]
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(
+        ["surgery", "fibration", "homology", "enumerate", "check-obstruction"]
+    ))
+    argv = [command]
+    if command == "surgery":
+        argv += [draw(INTS), draw(INTS)]
+        if draw(st.booleans()):
+            argv += ["--completion-seed", draw(INTS)]
+    elif command in ("fibration", "homology"):
+        argv.append(draw(st.sampled_from(FILES)))
+    elif command == "enumerate":
+        argv += ["--max-entry", draw(MAX_ENTRIES)]
+        if draw(st.booleans()):
+            argv += ["--pieces", draw(PIECES)]
+    else:
+        argv += ["--chi", draw(INTS), "--sigma", draw(SIGMAS)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "machine-readable", "yaml"]))]
+    if draw(st.booleans()):
+        argv.append("--quiet")
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop":
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif change == "add":
+        argv.append(draw(st.sampled_from(["extra", "--bogus", "7"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+@example(argv=["surgery", "1", "9" * 4000, "--completion-seed", "9" * 4000])
+def test_argv_exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.getvalue().startswith("error: ")

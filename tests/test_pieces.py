@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -87,6 +88,15 @@ def test_piece_validation():
             h1=AbelianGroup(2, ()),
             inclusion=IntMatrix.from_rows([(1, 0, 1), (0, 1, 0)]),
         )
+
+
+@pytest.mark.parametrize("kind", list(PieceKind))
+def test_declared_inclusion_must_kill_lambda(kind):
+    p = sample_piece(kind)
+    rows = [list(r) for r in p.inclusion.to_rows()]
+    rows[0][p.lambda_index - 1] += 1
+    with pytest.raises(ValueError, match="lambda bounds the fiber surface"):
+        dataclasses.replace(p, inclusion=IntMatrix.from_rows(rows))
 
 
 def test_can_extend_exhaustive_small_box():
