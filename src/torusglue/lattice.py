@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -30,7 +32,7 @@ class NotUnimodular(ValueError):
 
 def content(v: Sequence[int]) -> int:
     """gcd of the entries; 0 exactly for the zero vector."""
-    return math.gcd(*(abs(x) for x in v)) if v else 0
+    return math.gcd(*v)
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -40,7 +42,7 @@ def is_primitive(v: Sequence[int]) -> bool:
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def cross(a: Sequence[int], b: Sequence[int]) -> Vec:
@@ -89,7 +91,7 @@ class IntMatrix:
                 f"{self.rows}x{self.cols} matrix needs "
                 f"{self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        object.__setattr__(self, "entries", tuple(map(int, self.entries)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -99,7 +101,7 @@ class IntMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(len(rows), ncols, tuple(x for r in rows for x in r))
+        return cls(len(rows), ncols, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def from_columns(cls, cols: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -110,17 +112,30 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
+    def _check_row(self, i: int) -> None:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} of a {self.rows}x{self.cols} matrix")
+
+    def _check_column(self, j: int) -> None:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
+
     def entry(self, i: int, j: int) -> int:
+        self._check_row(i)
+        self._check_column(j)
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> Vec:
+        self._check_row(i)
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> Vec:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        self._check_column(j)
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> tuple[Vec, ...]:
-        return tuple(self.row(i) for i in range(self.rows))
+        e, c = self.entries, self.cols
+        return tuple(e[k * c : (k + 1) * c] for k in range(self.rows))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix.from_rows(self.column(j) for j in range(self.cols))
@@ -128,16 +143,18 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        ocols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix.from_rows(
-            tuple(dot(self.row(i), c) for c in ocols) for i in range(self.rows)
+        ocols = [other.entries[j :: other.cols] for j in range(other.cols)]
+        return IntMatrix(
+            self.rows,
+            other.cols,
+            tuple(sum(map(mul, r, c)) for r in self.to_rows() for c in ocols),
         )
 
     def apply(self, v: Sequence[int]) -> Vec:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} vs {self.cols} columns")
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
+        return tuple(sum(map(mul, r, v)) for r in self.to_rows())
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination; exact."""
@@ -188,7 +205,7 @@ class SNFDecomposition:
 
     @property
     def diagonal(self) -> Vec:
-        return tuple(self.D.entry(i, i) for i in range(min(self.D.rows, self.D.cols)))
+        return self.D.entries[:: self.D.cols + 1][: min(self.D.rows, self.D.cols)]
 
 
 def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
@@ -197,92 +214,82 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
     Pivots are chosen as the smallest nonzero entry in absolute value of the
     remaining submatrix, scanning row-major with first-found winning ties,
     which makes U, D, V reproducible across runs.
+
+    Rows and columns before the current pivot t are zero in D outside the
+    diagonal, so operations on D skip them; U and V get whole rows/columns.
     """
     m, n = a.rows, a.cols
-    d = [list(a.row(i)) for i in range(m)]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_add(i: int, j: int, k: int) -> None:  # row i += k * row j
-        di, dj = d[i], d[j]
-        for c in range(n):
-            di[c] += k * dj[c]
-        ui, uj = u[i], u[j]
-        for c in range(m):
-            ui[c] += k * uj[c]
-
-    def col_add(i: int, j: int, k: int) -> None:  # col i += k * col j
-        for r in range(m):
-            d[r][i] += k * d[r][j]
-        for r in range(n):
-            v[r][i] += k * v[r][j]
-
-    def row_swap(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def row_negate(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+    e = a.entries
+    d = [list(e[i * n : (i + 1) * n]) for i in range(m)]
+    u = [[0] * m for _ in range(m)]
+    for i in range(m):
+        u[i][i] = 1
+    v = [[0] * n for _ in range(n)]
+    for i in range(n):
+        v[i][i] = 1
 
     t = 0
     while t < min(m, n):
-        while True:
-            # smallest |nonzero| entry of the remaining submatrix
-            pi = pj = -1
-            best = 0
-            for i in range(t, m):
-                for j in range(t, n):
-                    e = d[i][j]
-                    if e != 0 and (best == 0 or abs(e) < best):
-                        best = abs(e)
-                        pi, pj = i, j
-            if best == 0:
-                # submatrix is zero; remaining diagonal entries stay 0
-                t = min(m, n)
+        # smallest |nonzero| entry of the remaining submatrix; nothing beats 1
+        best = 0
+        for i in range(t, m):
+            di = d[i]
+            for j in range(t, n):
+                x = di[j]
+                if x and (best == 0 or abs(x) < best):
+                    best, pi, pj = abs(x), i, j
+            if best == 1:
                 break
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            pivot = d[t][t]
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    row_add(i, t, -(d[i][t] // pivot))
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    col_add(j, t, -(d[t][j] // pivot))
-            if any(d[i][t] != 0 for i in range(t + 1, m)) or any(
-                d[t][j] != 0 for j in range(t + 1, n)
-            ):
-                continue  # residue smaller than the pivot appeared; redo
-            # cross is clear; enforce divisibility of the rest by the pivot
-            offender = next(
-                (
-                    i
-                    for i in range(t + 1, m)
-                    if any(d[i][j] % pivot != 0 for j in range(t + 1, n))
-                ),
-                -1,
-            )
-            if offender >= 0:
-                row_add(t, offender, 1)
-                continue
-            if d[t][t] < 0:
-                row_negate(t)
+        if best == 0:
+            break  # the submatrix is zero; remaining diagonal entries stay 0
+        if pi != t:
+            d[t], d[pi] = d[pi], d[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for r in d[t:]:
+                r[t], r[pj] = r[pj], r[t]
+            for r in v:
+                r[t], r[pj] = r[pj], r[t]
+        dt, ut = d[t], u[t]
+        pivot = dt[t]
+        for i in range(t + 1, m):  # row i -= (d[i][t] // pivot) * row t
+            di = d[i]
+            if di[t]:
+                k = -(di[t] // pivot)
+                for c in range(t, n):
+                    di[c] += k * dt[c]
+                ui = u[i]
+                for c in range(m):
+                    ui[c] += k * ut[c]
+        for j in range(t + 1, n):  # column j -= (d[t][j] // pivot) * column t
+            if dt[j]:
+                k = -(dt[j] // pivot)
+                for r in d[t:]:
+                    r[j] += k * r[t]
+                for r in v:
+                    r[j] += k * r[t]
+        if any(d[i][t] for i in range(t + 1, m)) or any(dt[t + 1 :]):
+            continue  # residue smaller than the pivot appeared; redo
+        # cross is clear; enforce divisibility of the rest by the pivot
+        for i in range(t + 1, m):
+            di = d[i]
+            if any(di[j] % pivot for j in range(t + 1, n)):
+                for c in range(t, n):  # row t += row i
+                    dt[c] += di[c]
+                ui = u[i]
+                for c in range(m):
+                    ut[c] += ui[c]
+                break
+        else:
+            if pivot < 0:
+                d[t] = [-x for x in dt]
+                u[t] = [-x for x in ut]
             t += 1
-            break
 
     return SNFDecomposition(
-        U=IntMatrix.from_rows(u),
-        D=IntMatrix.from_rows(d),
-        V=IntMatrix.from_rows(v),
+        U=IntMatrix(m, m, tuple(chain.from_iterable(u))),
+        D=IntMatrix(m, n, tuple(chain.from_iterable(d))),
+        V=IntMatrix(n, n, tuple(chain.from_iterable(v))),
     )
 
 

@@ -232,15 +232,20 @@ def extension_certificate(p: Piece, fib: FibrationOfT3) -> ExtensionCertificate:
         )
     b1, b2 = fib.fiber_basis
     coords = solve(IntMatrix.from_columns([b1, b2]), lam.v)
-    assert coords is not None  # lambda lies in the (saturated) kernel
+    if coords is None:
+        raise AssertionError(f"lambda = {lam.v} is not in the fiber torus spanned by {b1}, {b2}")
     x, y = coords
     g, s, t = xgcd(x, y)
-    assert g == 1  # lambda is primitive, and the kernel is saturated
+    if g != 1:
+        raise AssertionError(f"lambda has coordinates {coords} of gcd {g} in the fiber basis")
     gamma = tuple(-t * u + s * w for u, w in zip(b1, b2))
     alpha = dual_curve(TorusClass.of(fib.phi))
     cert = ExtensionCertificate(
         gamma=CurveClass.of(gamma), lam=lam, alpha=alpha
     )
-    assert dot(fib.phi, cert.gamma.v) == 0
-    assert abs(dot(fib.phi, cert.alpha.v)) == 1
+    if dot(fib.phi, cert.gamma.v) != 0 or abs(dot(fib.phi, cert.alpha.v)) != 1:
+        raise AssertionError(
+            f"certificate gamma = {cert.gamma.v}, alpha = {cert.alpha.v} "
+            f"does not pair to (0, +-1) with phi = {fib.phi}"
+        )
     return cert

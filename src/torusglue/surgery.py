@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .gluing import FibrationResult, GluedManifold, GluingMap, find_fibration, glue
-from .lattice import IntMatrix, solve, xgcd
+from .lattice import IntMatrix, cross, dot, xgcd
 from .pieces import Piece, PieceKind, boundary_lambda, torus_times_disk
 
 
@@ -172,9 +172,19 @@ def classify_double_disk_gluing(x: GluedManifold) -> LensSpace:
     gamma = result.cert_w.gamma.v
     lam = boundary_lambda(x.w).v
     meridian = x.f.m.apply(boundary_lambda(x.w_prime).v)
-    coords = solve(IntMatrix.from_columns([gamma, lam]), meridian)
-    assert coords is not None  # the fiber torus contains the glued meridian
-    return lens_normalize(coords[0], coords[1])
+    # Cramer's rule: c = gamma x lambda is normal to the fiber torus, and
+    # meridian = q*gamma + p*lambda gives meridian x lambda = q*c and
+    # gamma x meridian = p*c; c != 0 because the certificate is a basis
+    c = cross(gamma, lam)
+    cc = dot(c, c)
+    q, q_rem = divmod(dot(cross(meridian, lam), c), cc)
+    p, p_rem = divmod(dot(cross(gamma, meridian), c), cc)
+    if q_rem or p_rem or tuple(q * g + p * l for g, l in zip(gamma, lam)) != meridian:
+        raise AssertionError(
+            f"glued meridian {meridian} is not an integer combination of "
+            f"gamma = {gamma} and lambda = {lam}"
+        )
+    return lens_normalize(q, p)
 
 
 def generalized_fs_surgery(

@@ -179,7 +179,8 @@ def dual_curve(t: TorusClass) -> CurveClass:
     else:
         _, u, w = xgcd(g, n3)
         d = (x * u, y * u, w)
-    assert dot(t.n, d) == 1
+    if dot(t.n, d) != 1:
+        raise AssertionError(f"extended gcds gave {d}, which pairs to {dot(t.n, d)} with {t.n}")
     if not _is_sign_normalized(d):
         for b in kernel_basis(IntMatrix.from_rows([t.n])):
             if b[0] != 0:
@@ -189,7 +190,8 @@ def dual_curve(t: TorusClass) -> CurveClass:
                 break
         else:
             raise AssertionError("unreachable: kernel meets the first-coordinate axis")
-    assert dot(t.n, d) == 1
+    if dot(t.n, d) != 1:
+        raise AssertionError(f"sign normalization gave {d}, which pairs to {dot(t.n, d)} with {t.n}")
     return CurveClass(tuple(d))
 
 

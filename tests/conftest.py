@@ -1,8 +1,12 @@
-"""Shared generators for the test suite."""
+"""Shared generators and helpers for the test suite."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from torusglue.lattice import IntMatrix, content
 from torusglue.torus3 import CurveClass
@@ -82,3 +86,15 @@ def random_primitive_vector(rng: random.Random, bound: int = 4) -> tuple[int, ..
 
 def random_curve(rng: random.Random, bound: int = 4) -> CurveClass:
     return CurveClass.of(random_primitive_vector(rng, bound))
+
+
+def run_python(*args: str, optimize: bool = False) -> subprocess.CompletedProcess:
+    """Run the interpreter on args with this checkout's src importable;
+    optimize adds -O, which strips assert statements."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, *args], capture_output=True, text=True, env=env, timeout=120
+    )

@@ -10,6 +10,8 @@ from torusglue.lattice import AbelianGroup, IntMatrix
 from torusglue.manifold_files import ManifoldFile, serialize_manifold_file
 from torusglue.pieces import PieceKind, sample_piece, torus_times_disk
 
+from conftest import run_python
+
 
 @pytest.fixture
 def swap_file(tmp_path):
@@ -245,3 +247,22 @@ def test_usage_exit_code_on_unknown_command(capsys):
 def test_sample_pieces_cover_all_kinds():
     for kind in PieceKind:
         assert sample_piece(kind).kind is kind
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surgery", "5", "7", "--format", "machine-readable"],
+        ["enumerate", "--max-entry", "1", "--format", "machine-readable"],
+    ],
+)
+def test_optimized_interpreter_prints_the_same_bytes(argv):
+    plain = run_python("-m", "torusglue", *argv)
+    optimized = run_python("-m", "torusglue", *argv, optimize=True)
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+        plain.returncode,
+        plain.stdout,
+        plain.stderr,
+    )

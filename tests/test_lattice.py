@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from torusglue.lattice import (
     AbelianGroup,
     IntMatrix,
     NotUnimodular,
+    SNFDecomposition,
     cokernel,
     content,
     cross,
@@ -56,6 +57,110 @@ matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
             st.integers(-9, 9), min_size=r * c, max_size=r * c
+        ).map(lambda e: IntMatrix(r, c, tuple(e)))
+    )
+)
+
+def reference_smith_normal_form(a: IntMatrix) -> SNFDecomposition:
+    """The closure-based Smith normal form that smith_normal_form replaced,
+    frozen here as the reference its U, D and V must equal entry for entry."""
+    m, n = a.rows, a.cols
+    d = [list(a.entries[i * n : (i + 1) * n]) for i in range(m)]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_add(i, j, k):  # row i += k * row j
+        di, dj = d[i], d[j]
+        for c in range(n):
+            di[c] += k * dj[c]
+        ui, uj = u[i], u[j]
+        for c in range(m):
+            ui[c] += k * uj[c]
+
+    def col_add(i, j, k):  # col i += k * col j
+        for r in range(m):
+            d[r][i] += k * d[r][j]
+        for r in range(n):
+            v[r][i] += k * v[r][j]
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for r in range(m):
+            d[r][i], d[r][j] = d[r][j], d[r][i]
+        for r in range(n):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    def row_negate(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(m, n):
+        while True:
+            pi = pj = -1
+            best = 0
+            for i in range(t, m):
+                for j in range(t, n):
+                    e = d[i][j]
+                    if e != 0 and (best == 0 or abs(e) < best):
+                        best = abs(e)
+                        pi, pj = i, j
+            if best == 0:
+                t = min(m, n)
+                break
+            if pi != t:
+                row_swap(t, pi)
+            if pj != t:
+                col_swap(t, pj)
+            pivot = d[t][t]
+            for i in range(t + 1, m):
+                if d[i][t] != 0:
+                    row_add(i, t, -(d[i][t] // pivot))
+            for j in range(t + 1, n):
+                if d[t][j] != 0:
+                    col_add(j, t, -(d[t][j] // pivot))
+            if any(d[i][t] != 0 for i in range(t + 1, m)) or any(
+                d[t][j] != 0 for j in range(t + 1, n)
+            ):
+                continue
+            offender = next(
+                (
+                    i
+                    for i in range(t + 1, m)
+                    if any(d[i][j] % pivot != 0 for j in range(t + 1, n))
+                ),
+                -1,
+            )
+            if offender >= 0:
+                row_add(t, offender, 1)
+                continue
+            if d[t][t] < 0:
+                row_negate(t)
+            t += 1
+            break
+
+    return SNFDecomposition(
+        U=IntMatrix.from_rows(u), D=IntMatrix.from_rows(d), V=IntMatrix.from_rows(v)
+    )
+
+
+def assert_snf_matches_reference(a: IntMatrix) -> None:
+    s, ref = smith_normal_form(a), reference_smith_normal_form(a)
+    for got, want in ((s.U, ref.U), (s.D, ref.D), (s.V, ref.V)):
+        assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+
+
+FORTY_DIGITS = st.integers(10**39, 10**40 - 1).flatmap(lambda x: st.sampled_from([x, -x]))
+
+large_matrices = st.integers(1, 10).flatmap(
+    lambda r: st.integers(1, 7).flatmap(
+        lambda c: st.lists(
+            st.one_of(st.integers(-9, 9), st.integers(-9, 9), FORTY_DIGITS),
+            min_size=r * c,
+            max_size=r * c,
         ).map(lambda e: IntMatrix(r, c, tuple(e)))
     )
 )
@@ -126,6 +231,34 @@ def test_snf_deterministic():
 @settings(max_examples=150)
 def test_snf_invariants(a):
     assert_snf_invariants(a)
+
+
+@given(large_matrices)
+@settings(max_examples=150, deadline=None)
+def test_snf_equals_reference_entry_for_entry(a):
+    assert_snf_matches_reference(a)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(2, 3, 5)],
+        [(0, 0, 7)],
+        [(-4, 6, 0)],
+        [(10**40 + 1, -(10**40), 3)],
+        [(1, -2), (3, 0), (-1, 4)],
+        [(0, 0), (0, 6), (4, 0)],
+        [(2, 4), (4, 8), (-6, -12)],
+        [(10**40, 3), (7, -(10**40)), (0, 1)],
+    ],
+)
+def test_snf_equals_reference_on_engine_shapes(rows):
+    assert_snf_matches_reference(IntMatrix.from_rows(rows))
+
+
+def test_snf_equals_reference_on_small_3x2_box():
+    for e in product(range(-2, 3), repeat=6):
+        assert_snf_matches_reference(IntMatrix(3, 2, e))
 
 
 def test_cokernel_examples():
@@ -199,6 +332,20 @@ def test_unimodular_inverse():
         unimodular_inverse(IntMatrix.from_rows([[1, 0, 0]]))
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix.identity(4))  # the adjugate route stops at 3x3
+
+
+def test_indexing_out_of_range_raises():
+    m = IntMatrix.from_rows([(1, 2), (3, 4)])
+    assert (m.entry(1, 0), m.row(1), m.column(1)) == (3, (3, 4), (2, 4))
+    for i, j in [(0, 2), (2, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(IndexError):
+            m.entry(i, j)
+    for i in (2, 5, -1):
+        with pytest.raises(IndexError):
+            m.row(i)
+    for j in (2, -1):
+        with pytest.raises(IndexError):
+            m.column(j)
 
 
 def test_matrix_validation():

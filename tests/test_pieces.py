@@ -20,7 +20,7 @@ from torusglue.pieces import (
 )
 from torusglue.torus3 import CurveClass, TorusClass, fibration_from_torus, sign_normalize
 
-from conftest import random_primitive_vector
+from conftest import random_primitive_vector, run_python
 
 
 def all_piece_fixtures():
@@ -163,3 +163,24 @@ def test_sample_pieces_are_valid():
         assert p.h1 is not None and p.inclusion is not None
         # the fiber boundary curve is null-homologous in every fixture
         assert p.inclusion.column(p.lambda_index - 1) == (0,) * p.inclusion.rows
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ("pieces.solve = lambda a, b: None", "is not in the fiber torus"),
+        ("pieces.xgcd = lambda a, b: (2, 1, 0)", "of gcd 2 in the fiber basis"),
+    ],
+)
+def test_certificate_checks_survive_optimized_interpreter(patch, message):
+    # each broken step must be caught even where assert statements are gone
+    code = (
+        "from torusglue import pieces\n"
+        "from torusglue.torus3 import TorusClass, fibration_from_torus\n"
+        f"{patch}\n"
+        "fib = fibration_from_torus(TorusClass((1, 1, 0)))\n"
+        "pieces.extension_certificate(pieces.torus_times_disk(), fib)\n"
+    )
+    proc = run_python("-c", code, optimize=True)
+    assert proc.returncode == 1
+    assert "AssertionError" in proc.stderr and message in proc.stderr, proc.stderr

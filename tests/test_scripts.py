@@ -2,26 +2,15 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import run_python
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    return run_python(str(SCRIPTS / name), *args)
 
 
 def test_lens_atlas_at_1():

@@ -1,12 +1,20 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from torusglue.gluing import GluingMap, glue
+from torusglue import surgery
+from torusglue.gluing import GluingMap, find_fibration, glue
 from torusglue.invariants import mayer_vietoris_h1
-from torusglue.lattice import AbelianGroup, IntMatrix
-from torusglue.pieces import PieceKind, boundary_lambda, sample_piece, torus_times_disk
+from torusglue.lattice import AbelianGroup, IntMatrix, solve
+from torusglue.pieces import (
+    ExtensionCertificate,
+    PieceKind,
+    boundary_lambda,
+    sample_piece,
+    torus_times_disk,
+)
 from torusglue.surgery import (
     LensSpace,
     MeridianConditionViolated,
@@ -17,10 +25,12 @@ from torusglue.surgery import (
     lens_equivalent,
     lens_normalize,
     obstruction_check,
+    surgery_disk_pair,
     unknot_torus_surgery,
 )
+from torusglue.torus3 import CurveClass
 
-from conftest import random_lambda_stabilizer
+from conftest import random_lambda_stabilizer, random_unimodular
 
 
 def coprime_pairs(p_bound, q_bound):
@@ -149,6 +159,45 @@ def test_completion_independence():
         results.add((lens, mayer_vietoris_h1(x)))
     assert len(results) == 1
     assert results.pop() == (LensSpace(3, 2), AbelianGroup(1, (3,)))
+
+
+def _lens_by_solve(x):
+    """The lens space read off by solving for the meridian's coordinates in
+    the fiber basis (gamma, lambda) with the Smith-form solver."""
+    gamma = find_fibration(x).cert_w.gamma.v
+    lam = boundary_lambda(x.w).v
+    meridian = x.f.m.apply(boundary_lambda(x.w_prime).v)
+    q, p = solve(IntMatrix.from_columns([gamma, lam]), meridian)
+    return lens_normalize(q, p)
+
+
+def test_classifier_matches_solve_on_random_disk_pairs():
+    rng = random.Random(2027)
+    pairs = [surgery_disk_pair(), (torus_times_disk(), torus_times_disk())]
+    nontrivial = large = 0
+    for k in range(2000):
+        # small shears, or shears up to 300 that reach the 10^6 entry cap
+        f = random_unimodular(rng, max_factors=30, coeff=3 if k % 4 < 2 else 300)
+        x = glue(*pairs[k % 2], GluingMap(f))
+        lens = classify_double_disk_gluing(x)
+        assert lens == _lens_by_solve(x), f
+        nontrivial += lens.q >= 2
+        large += lens.q > 1000
+    assert nontrivial > 300 and large > 20  # not only S^3 and S^1 x S^2
+
+
+def test_classifier_raises_when_gamma_leaves_the_fiber_torus(monkeypatch):
+    def gamma_off_the_torus(x):
+        result = find_fibration(x)
+        cert = result.cert_w
+        # still a basis of Z^3, but gamma + alpha pairs to +-1 with phi
+        moved = tuple(g + a for g, a in zip(cert.gamma.v, cert.alpha.v))
+        bad = ExtensionCertificate(gamma=CurveClass.of(moved), lam=cert.lam, alpha=cert.alpha)
+        return dataclasses.replace(result, cert_w=bad)
+
+    monkeypatch.setattr(surgery, "find_fibration", gamma_off_the_torus)
+    with pytest.raises(AssertionError, match="not an integer combination"):
+        unknot_torus_surgery(SurgerySpec.from_slope(2, 5))
 
 
 def test_classify_rejects_other_pieces():

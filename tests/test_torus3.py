@@ -29,7 +29,7 @@ from torusglue.torus3 import (
     torus_through,
 )
 
-from conftest import random_curve, random_unimodular
+from conftest import random_curve, random_unimodular, run_python
 
 primitive3 = st.tuples(
     st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)
@@ -220,3 +220,15 @@ def test_saturation_equals_kernel_small_box():
             assert all(dot(fib.phi, s) == 0 for s in sat)
             m = IntMatrix.from_columns(sat)
             assert all(solve(m, v) is not None for v in fib.fiber_basis)
+
+
+def test_dual_curve_check_survives_optimized_interpreter():
+    # a wrong extended gcd must be caught even where assert statements are gone
+    code = (
+        "from torusglue import torus3\n"
+        "torus3.xgcd = lambda a, b: (1, 0, 0)\n"
+        "torus3.dual_curve(torus3.TorusClass((2, 3, 5)))\n"
+    )
+    proc = run_python("-c", code, optimize=True)
+    assert proc.returncode == 1
+    assert "AssertionError: extended gcds gave (0, 0, 0), which pairs to 0" in proc.stderr
