@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from torusglue.enumeration import MAX_ENUMERATION_ENTRY, check, enumerate_gluings
-from torusglue.surgery import lens_equivalent, surgery_disk_pair
+from torusglue.surgery import SURGERY_DISK_PAIR, lens_equivalent
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
     counts: Counter = Counter()
     representatives: list = []
     bad = 0
-    for manifold in enumerate_gluings(args.max_entry, *surgery_disk_pair()):
+    for manifold in enumerate_gluings(args.max_entry, *SURGERY_DISK_PAIR):
         verdict = check(manifold)
         bad += not verdict.consistent
         lens = verdict.lens

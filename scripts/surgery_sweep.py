@@ -17,7 +17,7 @@ from collections import defaultdict
 
 from torusglue.enumeration import check
 from torusglue.gluing import GluingMap, glue
-from torusglue.surgery import SurgerySpec, lens_equivalent, surgery_disk_pair
+from torusglue.surgery import SURGERY_DISK_PAIR, SurgerySpec, lens_equivalent
 
 
 def main() -> int:
@@ -32,7 +32,7 @@ def main() -> int:
             if math.gcd(p, q) != 1:
                 continue
             spec = SurgerySpec.from_slope(p, q)
-            verdict = check(glue(*surgery_disk_pair(), GluingMap(spec.completion)))
+            verdict = check(glue(*SURGERY_DISK_PAIR, GluingMap(spec.completion)))
             rows.append((p, q, verdict.lens, verdict.h1, verdict.consistent))
 
     print(f"{'slope':>10}  {'result':>8}  {'H1':>10}  check")

@@ -31,7 +31,7 @@ from .invariants import MissingH1Data, euler_characteristic_glued, mayer_vietori
 from .lattice import AbelianGroup, IntMatrix
 from .manifold_files import ManifoldFileError, parse_manifold_file
 from .pieces import ExtensionCertificate, PieceKind, sample_piece
-from .surgery import NotCoprime, SurgerySpec, obstruction_check, surgery_disk_pair
+from .surgery import SURGERY_DISK_PAIR, NotCoprime, SurgerySpec, obstruction_check
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,9 +121,9 @@ def cmd_surgery(args: argparse.Namespace) -> int:
         spec = SurgerySpec.from_slope(args.p, args.q, seed=args.completion_seed)
     except NotCoprime as exc:
         raise _UsageError(str(exc))
-    x = glue(*surgery_disk_pair(), GluingMap(spec.completion))
+    x = glue(*SURGERY_DISK_PAIR, GluingMap(spec.completion))
     v = check(x)
-    gluing = {"matrix": _matrix_obj(x.f.m), "orientation_note": f"det={x.f.det_sign:+d}"}
+    gluing = {"matrix": _matrix_obj(x.f.m), "orientation_note": f"det={x.f.m.det():+d}"}
     verdict = "CONSISTENT" if v.consistent else "INCONSISTENT"
     _emit(args, {**_verdict_obj(v), "gluing": gluing}, lambda: [
         f"{v.lens}; H1 = {v.h1}; chi = {v.chi}; {verdict}",
@@ -169,7 +169,7 @@ def _row_text(x: GluedManifold, v: Verdict) -> str:
         parallel = "true" if v.fibration.parallel_case else "false"
         summary = f"phi={_format_vec(v.fibration.phi.phi)} parallel={parallel}"
     return (
-        f"{json.dumps(_matrix_obj(x.f.m))} det={x.f.det_sign:+d} {summary} "
+        f"{json.dumps(_matrix_obj(x.f.m))} det={x.f.m.det():+d} {summary} "
         f"H1={v.h1} chi={v.chi} {'ok' if v.consistent else 'INCONSISTENT'}"
     )
 
@@ -186,7 +186,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         valid = ", ".join(k.value for k in PieceKind)
         raise _UsageError(f"unknown piece kind; valid kinds: {valid}")
     if pair == (PieceKind.TORUS_TIMES_DISK, PieceKind.TORUS_TIMES_DISK):
-        w, w_prime = surgery_disk_pair()  # so rows read as unknot surgeries
+        w, w_prime = SURGERY_DISK_PAIR  # so rows read as unknot surgeries
     else:
         w, w_prime = sample_piece(pair[0]), sample_piece(pair[1])
 
@@ -196,7 +196,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         rows += 1
         bad += not v.consistent
         if args.format == "machine-readable" or not args.quiet:
-            obj = {**_verdict_obj(v), "matrix": _matrix_obj(x.f.m), "det": x.f.det_sign}
+            obj = {**_verdict_obj(v), "matrix": _matrix_obj(x.f.m), "det": x.f.m.det()}
             _emit(args, obj, lambda: [_row_text(x, v)])
     if args.format != "machine-readable":
         print(f"{rows} gluings, {bad} inconsistent")

@@ -41,10 +41,6 @@ class GluingMap:
         if abs(self.m.det()) != 1:
             raise NotUnimodular(f"gluing matrix has determinant {self.m.det()}")
 
-    @property
-    def det_sign(self) -> int:
-        return 1 if self.m.det() > 0 else -1
-
 
 @dataclass(frozen=True)
 class GluedManifold:

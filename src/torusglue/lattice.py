@@ -183,9 +183,6 @@ class IntMatrix:
             prev = pivot
         return sign * a[n - 1][n - 1]
 
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form

@@ -134,14 +134,14 @@ class SurgerySpec:
         return cls(p=p, q=q, completion=completion)
 
 
-def surgery_disk_pair() -> tuple[Piece, Piece]:
-    """The pieces of a surgery along S^1 x (unknot): its complement in
-    S^1 x S^3, T^2 x D^2 framed (mu, lambda, s) with lambda bounding the
-    Seifert disk, and the glued T^2 x D^2 with its disk boundary first."""
-    return (
-        torus_times_disk(framing=("mu", "lambda", "s"), lambda_index=2),
-        torus_times_disk(framing=("lambda", "mu", "s"), lambda_index=1),
-    )
+# The pieces of a surgery along S^1 x (unknot): its complement in S^1 x S^3,
+# T^2 x D^2 framed (mu, lambda, s) with lambda bounding the Seifert disk, and
+# the glued T^2 x D^2 with its disk boundary first.  Pieces are frozen, so
+# every surgery shares this one pair.
+SURGERY_DISK_PAIR: tuple[Piece, Piece] = (
+    torus_times_disk(framing=("mu", "lambda", "s"), lambda_index=2),
+    torus_times_disk(framing=("lambda", "mu", "s"), lambda_index=1),
+)
 
 
 def unknot_torus_surgery(spec: SurgerySpec) -> tuple[GluedManifold, LensSpace]:
@@ -150,7 +150,7 @@ def unknot_torus_surgery(spec: SurgerySpec) -> tuple[GluedManifold, LensSpace]:
     The lens parameters are computed from the gluing (via the fiber's
     genus-one splitting), not copied from the slope.
     """
-    x = glue(*surgery_disk_pair(), GluingMap(spec.completion))
+    x = glue(*SURGERY_DISK_PAIR, GluingMap(spec.completion))
     return x, classify_double_disk_gluing(x)
 
 

@@ -123,9 +123,6 @@ class FibrationOfT3:
         if cross(b1, b2) not in (self.phi, tuple(-x for x in self.phi)):
             raise ValueError("fiber_basis does not span the full kernel lattice")
 
-    def annihilates(self, c: CurveClass) -> bool:
-        return dot(self.phi, c.v) == 0
-
 
 def torus_through(a: CurveClass, b: CurveClass) -> TorusClass:
     """The unique essential torus containing two non-parallel curves.
@@ -201,7 +198,7 @@ def act(m: IntMatrix, x: Union[CurveClass, TorusClass]) -> Union[CurveClass, Tor
     Curves transform by the matrix itself, torus covectors by the inverse
     transpose, so containment and duality pairings are preserved.
     """
-    if m.rows != 3 or m.cols != 3 or not m.is_unimodular():
+    if m.rows != 3 or m.cols != 3 or abs(m.det()) != 1:
         raise NotUnimodular("action requires a 3x3 matrix of determinant +-1")
     if isinstance(x, CurveClass):
         return CurveClass.of(m.apply(x.v))

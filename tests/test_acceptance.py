@@ -27,10 +27,10 @@ from torusglue.lattice import (
 )
 from torusglue.pieces import PieceKind, boundary_lambda, sample_piece
 from torusglue.surgery import (
+    SURGERY_DISK_PAIR,
     LensSpace,
     SurgerySpec,
     lens_equivalent,
-    surgery_disk_pair,
     unknot_torus_surgery,
 )
 from torusglue.torus3 import CurveClass, fibration_from_torus, sign_normalize, torus_through
@@ -181,7 +181,7 @@ def test_criterion_6_chi_vanishes(capsys):
         assert euler_characteristic_glued(x) == 0
         checked += 1
     # the disk-pair table itself is stable
-    disk_rows = sum(1 for _ in enumerate_gluings(1, *surgery_disk_pair()))
+    disk_rows = sum(1 for _ in enumerate_gluings(1, *SURGERY_DISK_PAIR))
     assert disk_rows == DISK_PAIR_ROWS_AT_1
     with capsys.disabled():
         print(f"[acceptance 6] PASS chi chain: {checked} glued manifolds, all chi = 0")

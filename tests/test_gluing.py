@@ -17,8 +17,8 @@ def test_gluing_map_validation():
     with pytest.raises(NotUnimodular):
         GluingMap(IntMatrix.from_rows([[1, 0], [0, 1]]))
     f = GluingMap(IntMatrix.from_columns([(1, 0, 0), (0, 0, 1), (0, 1, 0)]))
-    assert f.det_sign == -1
-    assert GluingMap(IntMatrix.identity(3)).det_sign == 1
+    assert f.m.det() == -1
+    assert GluingMap(IntMatrix.identity(3)).m.det() == 1
 
 
 def test_swap_gluing_coordinate_example():

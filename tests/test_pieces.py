@@ -90,6 +90,37 @@ def test_piece_validation():
         )
 
 
+def _disk_piece(rows):
+    return Piece(
+        kind=PieceKind.TORUS_TIMES_DISK,
+        genus=0,
+        monodromy_label="",
+        framing=("s", "mu", "lambda"),
+        lambda_index=3,
+        h1=AbelianGroup(2, ()),
+        inclusion=IntMatrix.from_rows(rows),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 1, 0), (1, 1, 0)],  # non-lambda minor 0
+        [(1, 0, 0), (0, 2, 0)],  # minor 2
+        [(1, 1, 0), (1, -1, 0)],  # minor -2
+    ],
+)
+def test_disk_piece_rejects_non_generating_boundary(rows):
+    # lambda maps to 0, so only the non-lambda minor can reject these
+    with pytest.raises(ValueError, match="must generate"):
+        _disk_piece(rows)
+
+
+def test_disk_piece_accepts_orientation_reversing_minor():
+    p = _disk_piece([(0, 1, 0), (1, 0, 0)])  # non-lambda minor -1
+    assert p.inclusion.to_rows() == ((0, 1, 0), (1, 0, 0))
+
+
 @pytest.mark.parametrize("kind", list(PieceKind))
 def test_declared_inclusion_must_kill_lambda(kind):
     p = sample_piece(kind)
@@ -154,6 +185,13 @@ def test_certificate_requires_basis():
             lam=CurveClass.of((1, 0, 0)),
             alpha=CurveClass.of((0, 0, 1)),
         )
+    with pytest.raises(ValueError, match="not a basis"):
+        # primitive vectors spanning an index-2 sublattice
+        ExtensionCertificate(
+            gamma=CurveClass.of((1, 0, 0)),
+            lam=CurveClass.of((0, 1, 0)),
+            alpha=CurveClass.of((1, 1, 2)),
+        )
 
 
 def test_sample_pieces_are_valid():
@@ -184,3 +222,20 @@ def test_certificate_checks_survive_optimized_interpreter(patch, message):
     proc = run_python("-c", code, optimize=True)
     assert proc.returncode == 1
     assert "AssertionError" in proc.stderr and message in proc.stderr, proc.stderr
+
+
+# alpha with phi . alpha = 2 or 0 for phi = (1, 1, 0): the certificate's
+# basis check is what rejects a dual curve that does not pair to +-1
+@pytest.mark.parametrize("alpha", [(1, 1, 0), (1, -1, 0)])
+@pytest.mark.parametrize("optimize", [False, True])
+def test_certificate_rejects_alpha_not_dual_to_phi(alpha, optimize):
+    code = (
+        "from torusglue import pieces\n"
+        "from torusglue.torus3 import CurveClass, TorusClass, fibration_from_torus\n"
+        f"pieces.dual_curve = lambda t: CurveClass({alpha})\n"
+        "fib = fibration_from_torus(TorusClass((1, 1, 0)))\n"
+        "pieces.extension_certificate(pieces.torus_times_disk(), fib)\n"
+    )
+    proc = run_python("-c", code, optimize=optimize)
+    assert proc.returncode == 1
+    assert "ValueError: certificate triple is not a basis of Z^3" in proc.stderr, proc.stderr
