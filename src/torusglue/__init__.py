@@ -8,7 +8,6 @@ cross-checked by an independent Smith-normal-form homology computation.
 
 from .gluing import FibrationResult, GluedManifold, GluingMap, find_fibration, glue
 from .invariants import (
-    H1Presentation,
     MissingH1Data,
     euler_characteristic_glued,
     h1_presentation,
@@ -50,7 +49,6 @@ from .surgery import (
     LensSpace,
     MeridianConditionViolated,
     NotCoprime,
-    ObstructionReport,
     SurgerySpec,
     classify_double_disk_gluing,
     generalized_fs_surgery,

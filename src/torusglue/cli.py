@@ -162,14 +162,14 @@ def cmd_homology(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _row_text(x: GluedManifold, v: Verdict) -> str:
+def _row_text(x: GluedManifold, v: Verdict, det: int) -> str:
     if v.lens is not None:
         summary = f"lens={v.lens}"
     else:
         parallel = "true" if v.fibration.parallel_case else "false"
         summary = f"phi={_format_vec(v.fibration.phi.phi)} parallel={parallel}"
     return (
-        f"{json.dumps(_matrix_obj(x.f.m))} det={x.f.m.det():+d} {summary} "
+        f"{json.dumps(_matrix_obj(x.f.m))} det={det:+d} {summary} "
         f"H1={v.h1} chi={v.chi} {'ok' if v.consistent else 'INCONSISTENT'}"
     )
 
@@ -196,8 +196,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         rows += 1
         bad += not v.consistent
         if args.format == "machine-readable" or not args.quiet:
-            obj = {**_verdict_obj(v), "matrix": _matrix_obj(x.f.m), "det": x.f.m.det()}
-            _emit(args, obj, lambda: [_row_text(x, v)])
+            det = x.f.m.det()
+            obj = {**_verdict_obj(v), "matrix": _matrix_obj(x.f.m), "det": det}
+            _emit(args, obj, lambda: [_row_text(x, v, det)])
     if args.format != "machine-readable":
         print(f"{rows} gluings, {bad} inconsistent")
     return EXIT_OK if bad == 0 else EXIT_INCONSISTENT
@@ -211,18 +212,13 @@ def cmd_check_obstruction(args: argparse.Namespace) -> int:
             sigma = int(args.sigma)
         except ValueError:
             raise _UsageError(f"--sigma takes an integer or 'unknown', got {args.sigma!r}")
-    report = obstruction_check(args.chi, sigma)
-    verdict = "PASSES" if report.passes else "FAILS"
-    if report.sigma_unknown:
+    passes = obstruction_check(args.chi, sigma)
+    verdict = "PASSES" if passes else "FAILS"
+    if sigma is None:
         verdict += " (sigma unknown)"
-    obj = {
-        "chi": report.chi,
-        "sigma": report.sigma,
-        "sigma_unknown": report.sigma_unknown,
-        "passes": report.passes,
-    }
-    sigma_text = "unknown" if report.sigma_unknown else report.sigma
-    _emit(args, obj, lambda: [f"chi = {report.chi}; sigma = {sigma_text}; {verdict}"])
+    obj = {"chi": args.chi, "sigma": sigma, "sigma_unknown": sigma is None, "passes": passes}
+    sigma_text = "unknown" if sigma is None else sigma
+    _emit(args, obj, lambda: [f"chi = {args.chi}; sigma = {sigma_text}; {verdict}"])
     return EXIT_OK
 
 

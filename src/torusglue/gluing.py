@@ -38,8 +38,9 @@ class GluingMap:
     def __post_init__(self) -> None:
         if self.m.rows != 3 or self.m.cols != 3:
             raise NotUnimodular("gluing matrix must be 3x3")
-        if abs(self.m.det()) != 1:
-            raise NotUnimodular(f"gluing matrix has determinant {self.m.det()}")
+        det = self.m.det()
+        if abs(det) != 1:
+            raise NotUnimodular(f"gluing matrix has determinant {det}")
 
 
 @dataclass(frozen=True)

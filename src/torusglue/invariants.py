@@ -14,8 +14,6 @@ depend on it (tested, not assumed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gluing import GluedManifold
 from .lattice import AbelianGroup, IntMatrix, cokernel, unimodular_inverse
 from .pieces import Piece
@@ -25,30 +23,20 @@ class MissingH1Data(ValueError):
     """A piece without declared h1/inclusion cannot enter the homology computation."""
 
 
-@dataclass(frozen=True)
-class H1Presentation:
-    """Presentation of H_1 of a glued manifold: generators are those of the
-    two pieces' declared H_1 groups (first piece's first); relation columns
-    are the three glued boundary classes followed by one torsion relator per
-    declared invariant factor."""
-
-    generators: int
-    relations: IntMatrix
-
-
 def _declared(piece: Piece, side: str) -> tuple[AbelianGroup, IntMatrix]:
     if piece.h1 is None or piece.inclusion is None:
         raise MissingH1Data(f"{side} piece ({piece.kind.value}) has no declared h1/inclusion")
     return piece.h1, piece.inclusion
 
 
-def h1_presentation(x: GluedManifold) -> H1Presentation:
-    """Assemble the relation matrix for H_1 of the glued manifold."""
+def h1_presentation(x: GluedManifold) -> IntMatrix:
+    """The relation matrix of H_1 of the glued manifold: one row per declared
+    generator of the pieces' H_1 (first piece's first), one column per glued
+    boundary class, then one per declared torsion factor."""
     h1_w, incl_w = _declared(x.w, "first")
     h1_wp, incl_wp = _declared(x.w_prime, "second")
     rows_w = incl_w.rows
-    rows_wp = incl_wp.rows
-    gens = rows_w + rows_wp
+    gens = rows_w + incl_wp.rows
 
     f_inv = unimodular_inverse(x.f.m)
     bottom = incl_wp @ f_inv
@@ -63,12 +51,12 @@ def h1_presentation(x: GluedManifold) -> H1Presentation:
     for k, factor in enumerate(h1_wp.torsion):
         row = rows_w + h1_wp.free_rank + k
         columns.append(tuple(factor if i == row else 0 for i in range(gens)))
-    return H1Presentation(generators=gens, relations=IntMatrix.from_columns(columns))
+    return IntMatrix.from_columns(columns)
 
 
 def mayer_vietoris_h1(x: GluedManifold) -> AbelianGroup:
     """H_1 of the glued manifold, in invariant-factor form."""
-    return cokernel(h1_presentation(x).relations)
+    return cokernel(h1_presentation(x))
 
 
 def euler_characteristic_glued(x: GluedManifold) -> int:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import mul
-from typing import Iterable, Sequence
+from operator import index, mul
+from typing import Iterable, Sequence, SupportsIndex
 
 Vec = tuple[int, ...]
 
@@ -28,6 +28,11 @@ class NotUnimodular(ValueError):
 
 # ---------------------------------------------------------------------------
 # vectors
+
+
+def as_ints(v: Iterable[SupportsIndex]) -> Vec:
+    """The entries as exact ints; a float or a string raises TypeError."""
+    return tuple(map(index, v))
 
 
 def content(v: Sequence[int]) -> int:
@@ -91,7 +96,7 @@ class IntMatrix:
                 f"{self.rows}x{self.cols} matrix needs "
                 f"{self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(map(int, self.entries)))
+        object.__setattr__(self, "entries", as_ints(self.entries))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -304,7 +309,7 @@ class AbelianGroup:
     def __post_init__(self) -> None:
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
+        object.__setattr__(self, "torsion", as_ints(self.torsion))
         for t in self.torsion:
             if t < 2:
                 raise ValueError(f"invariant factor {t} < 2")

@@ -22,6 +22,7 @@ Monodromies are stored as opaque labels for the same reason.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from .lattice import AbelianGroup, IntMatrix, cross, dot, solve, xgcd
@@ -60,6 +61,10 @@ class Piece:
     inclusion: IntMatrix | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PieceKind):
+            raise ValueError(f"kind {self.kind!r} is not a PieceKind")
+        object.__setattr__(self, "genus", operator.index(self.genus))
+        object.__setattr__(self, "lambda_index", operator.index(self.lambda_index))
         object.__setattr__(self, "framing", tuple(self.framing))
         if len(self.framing) != 3:
             raise ValueError("framing names three basis vectors")
@@ -232,7 +237,7 @@ def extension_certificate(p: Piece, fib: FibrationOfT3) -> ExtensionCertificate:
     the fiber torus.
     """
     lam = boundary_lambda(p)
-    if dot(fib.phi, lam.v) != 0:
+    if not can_extend(p, fib):
         raise ExtensionObstructed(
             f"covector {fib.phi} does not kill lambda = {lam.v} of the {p.kind.value} piece"
         )

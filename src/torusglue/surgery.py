@@ -115,8 +115,11 @@ class SurgerySpec:
             )
         if self.completion.column(2) != (0, 0, 1):
             raise ValueError("third completion column must be (0, 0, 1)")
-        if abs(self.completion.det()) != 1:
-            raise ValueError(f"completion has determinant {self.completion.det()}")
+        # with columns 0 and 2 fixed, the determinant is the top-left 2x2 minor
+        x, y, _ = self.completion.column(1)
+        det = self.q * y - self.p * x
+        if abs(det) != 1:
+            raise ValueError(f"completion has determinant {det}")
 
     @classmethod
     def from_slope(cls, p: int, q: int, seed: int = 0) -> "SurgerySpec":
@@ -126,8 +129,6 @@ class SurgerySpec:
         first, giving the distinct unimodular completions used to check that
         the choice does not matter.
         """
-        if math.gcd(p, q) != 1:
-            raise NotCoprime(f"gcd({p}, {q}) != 1")
         _, a, b = xgcd(q, p)  # q*a + p*b = 1
         second = (-b + seed * q, a + seed * p, 0)
         completion = IntMatrix.from_columns([(q, p, 0), second, (0, 0, 1)])
@@ -215,21 +216,8 @@ def generalized_fs_surgery(
     return x, find_fibration(x)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    """Necessary conditions for a 4-manifold to contain a torus-fibered
-    2-torus knot: Euler characteristic and signature must both vanish.
-    The conditions are not sufficient."""
-
-    chi: int
-    sigma: int | None
-    passes: bool
-
-    @property
-    def sigma_unknown(self) -> bool:
-        return self.sigma is None
-
-
-def obstruction_check(chi: int, sigma: int | None) -> ObstructionReport:
-    """passes exactly when chi = 0 and sigma is known to be 0."""
-    return ObstructionReport(chi=chi, sigma=sigma, passes=(chi == 0 and sigma == 0))
+def obstruction_check(chi: int, sigma: int | None) -> bool:
+    """Whether a 4-manifold passes the necessary conditions for containing
+    a torus-fibered 2-torus knot: chi = 0 and sigma known to be 0.  The
+    conditions are not sufficient."""
+    return chi == 0 and sigma == 0

@@ -18,6 +18,7 @@ from .lattice import (
     NonPrimitive,
     NotUnimodular,
     Vec,
+    as_ints,
     content,
     cross,
     dot,
@@ -32,9 +33,10 @@ class ParallelCurves(ValueError):
     """Two curve classes that were required to be distinct coincide."""
 
 
-def _is_sign_normalized(v: Sequence[int]) -> bool:
+def is_sign_normalized(v: Sequence[int]) -> bool:
+    """Whether the first nonzero entry is positive (False for zero)."""
     for x in v:
-        if x != 0:
+        if x:
             return x > 0
     return False
 
@@ -49,6 +51,19 @@ def sign_normalize(v: Sequence[int]) -> Vec:
     raise ValueError("zero vector has no sign normalization")
 
 
+def _class_vector(v: Sequence[int], name: str) -> Vec:
+    """v as the exact ints of a primitive, sign-normalized vector of Z^3;
+    name ("curve vector", "torus covector") heads the error messages."""
+    v = as_ints(v)
+    if len(v) != 3:
+        raise ValueError(f"{name} {v} is not in Z^3")
+    if not is_primitive(v):
+        raise NonPrimitive(f"{name} {v} has content != 1")
+    if not is_sign_normalized(v):
+        raise ValueError(f"{name} {v} is not sign-normalized")
+    return v
+
+
 @dataclass(frozen=True)
 class CurveClass:
     """Isotopy class of an essential curve: a sign-normalized primitive vector."""
@@ -56,20 +71,13 @@ class CurveClass:
     v: Vec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v", tuple(int(x) for x in self.v))
-        if len(self.v) != 3:
-            raise ValueError("curve classes live in Z^3")
-        if not is_primitive(self.v):
-            raise NonPrimitive(f"curve vector {self.v} has content != 1")
-        if not _is_sign_normalized(self.v):
-            raise ValueError(f"curve vector {self.v} is not sign-normalized")
+        object.__setattr__(self, "v", _class_vector(self.v, "curve vector"))
 
     @classmethod
     def of(cls, v: Sequence[int]) -> "CurveClass":
-        """The class of a primitive vector, normalizing the sign."""
-        if not is_primitive(v):
-            raise NonPrimitive(f"curve vector {tuple(v)} has content != 1")
-        return cls(sign_normalize(v))
+        """The class of a primitive vector, normalizing the sign; any other
+        vector, the zero vector included, fails the constructor's checks."""
+        return cls(sign_normalize(v) if is_primitive(v) else v)
 
 
 @dataclass(frozen=True)
@@ -79,19 +87,11 @@ class TorusClass:
     n: Vec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
-        if len(self.n) != 3:
-            raise ValueError("torus classes live in Z^3")
-        if not is_primitive(self.n):
-            raise NonPrimitive(f"torus covector {self.n} has content != 1")
-        if not _is_sign_normalized(self.n):
-            raise ValueError(f"torus covector {self.n} is not sign-normalized")
+        object.__setattr__(self, "n", _class_vector(self.n, "torus covector"))
 
     @classmethod
     def of(cls, n: Sequence[int]) -> "TorusClass":
-        if not is_primitive(n):
-            raise NonPrimitive(f"torus covector {tuple(n)} has content != 1")
-        return cls(sign_normalize(n))
+        return cls(sign_normalize(n) if is_primitive(n) else n)
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,8 @@ class FibrationOfT3:
     fiber_basis: tuple[Vec, Vec]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", tuple(int(x) for x in self.phi))
-        object.__setattr__(
-            self, "fiber_basis", tuple(tuple(int(x) for x in b) for b in self.fiber_basis)
-        )
+        object.__setattr__(self, "phi", as_ints(self.phi))
+        object.__setattr__(self, "fiber_basis", tuple(map(as_ints, self.fiber_basis)))
         if not is_primitive(self.phi):
             raise NonPrimitive(f"fibration covector {self.phi} has content != 1")
         for b in self.fiber_basis:
@@ -178,7 +176,7 @@ def dual_curve(t: TorusClass) -> CurveClass:
         d = (x * u, y * u, w)
     if dot(t.n, d) != 1:
         raise AssertionError(f"extended gcds gave {d}, which pairs to {dot(t.n, d)} with {t.n}")
-    if not _is_sign_normalized(d):
+    if not is_sign_normalized(d):
         for b in kernel_basis(IntMatrix.from_rows([t.n])):
             if b[0] != 0:
                 k = b if b[0] > 0 else tuple(-x for x in b)

@@ -74,10 +74,9 @@ def test_presentation_shape():
     )
     wp = torus_times_disk()
     pres = h1_presentation(glue(w, wp, GluingMap(IntMatrix.identity(3))))
-    assert pres.generators == 4
-    # 3 boundary columns + 1 torsion relator
-    assert pres.relations.cols == 4
-    assert pres.relations.rows == 4
+    # 4 generators; 3 boundary columns + 1 torsion relator
+    assert pres.rows == 4
+    assert pres.cols == 4
 
 
 def test_missing_h1_data():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusglue.gluing import GluingMap
 from torusglue.lattice import (
     AbelianGroup,
     IntMatrix,
@@ -22,6 +23,7 @@ from torusglue.lattice import (
     unimodular_inverse,
     xgcd,
 )
+from torusglue.torus3 import CurveClass, FibrationOfT3, TorusClass
 
 
 def minors_gcd(m: IntMatrix, k: int) -> int:
@@ -348,7 +350,28 @@ def test_indexing_out_of_range_raises():
             m.column(j)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda two: IntMatrix(1, 2, (two, 0)),
+        lambda two: AbelianGroup(0, (two,)),
+        lambda two: CurveClass((1, two, 0)),
+        lambda two: TorusClass((1, 0, two)),
+        lambda two: FibrationOfT3((two, 1, 0), ((1, -2, 0), (0, 0, 1))),
+        lambda two: FibrationOfT3((0, 0, 1), ((1, two, 0), (0, 1, 0))),
+        lambda two: GluingMap(IntMatrix(3, 3, (1, two, 0, 0, 1, 0, 0, 0, 1))),
+    ],
+    ids=["IntMatrix", "AbelianGroup", "CurveClass", "TorusClass", "phi", "fiber_basis", "GluingMap"],
+)
+@pytest.mark.parametrize("two", [2.0, 2.5, "2"])
+def test_integer_entries_reject_floats_and_strings(build, two):
+    build(2)
+    with pytest.raises(TypeError):
+        build(two)  # int() would have read each of these as 2
+
+
 def test_matrix_validation():
+    assert repr(IntMatrix(1, 2, (True, False)).entries) == "(1, 0)"
     with pytest.raises(ValueError):
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):

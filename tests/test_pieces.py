@@ -90,6 +90,21 @@ def test_piece_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"kind": "torus_times_disk", "genus": 5}, ValueError),
+        ({"genus": 1.0}, TypeError),
+        ({"lambda_index": 2.0}, TypeError),
+    ],
+    ids=["string kind", "float genus", "float lambda_index"],
+)
+def test_piece_rejects_unchecked_kind_and_indices(change, error):
+    p = knot_exterior_product(genus=1)
+    with pytest.raises(error):
+        dataclasses.replace(p, **change)
+
+
 def _disk_piece(rows):
     return Piece(
         kind=PieceKind.TORUS_TIMES_DISK,

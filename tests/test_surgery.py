@@ -264,10 +264,7 @@ def test_fs_unknot_identity_homology():
 
 
 def test_obstruction_check():
-    assert obstruction_check(0, 0).passes
-    assert not obstruction_check(2, 0).passes
-    assert not obstruction_check(0, 8).passes
-    report = obstruction_check(0, None)
-    assert not report.passes
-    assert report.sigma_unknown
-    assert not obstruction_check(0, 0).sigma_unknown
+    assert obstruction_check(0, 0) is True
+    assert obstruction_check(2, 0) is False
+    assert obstruction_check(0, 8) is False
+    assert obstruction_check(0, None) is False
