@@ -89,12 +89,12 @@ class IntMatrix:
     entries: Vec
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+        rows, cols = index(self.rows), index(self.cols)  # a float or a string raises
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if self.rows * self.cols != len(self.entries):
+        if rows * cols != len(self.entries):
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs "
-                f"{self.rows * self.cols} entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(self.entries)}"
             )
         object.__setattr__(self, "entries", as_ints(self.entries))
 
@@ -111,7 +111,7 @@ class IntMatrix:
     @classmethod
     def from_columns(cls, cols: Iterable[Sequence[int]]) -> "IntMatrix":
         cols = [tuple(c) for c in cols]
-        return cls.from_rows(zip(*cols)) if cols else cls(0, 0, ())
+        return cls.from_rows(zip(*cols, strict=True)) if cols else cls(0, 0, ())
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -307,6 +307,7 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "free_rank", index(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         object.__setattr__(self, "torsion", as_ints(self.torsion))
@@ -356,26 +357,18 @@ def kernel_basis(a: IntMatrix) -> list[Vec]:
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a 3x3 matrix with determinant +-1.
 
-    Computed as the adjugate; dividing by det = +-1 is multiplying by det.
+    With rows r0, r1, r2 the adjugate's columns are r1 x r2, r2 x r0 and
+    r0 x r1, and det = r0 . (r1 x r2); dividing the adjugate by det = +-1
+    is multiplying it by det.
     """
-    if m.rows != m.cols:
-        raise NotUnimodular("non-square matrix")
-    d = m.det()
+    if m.rows != 3 or m.cols != 3:
+        raise NotUnimodular(f"unimodular_inverse takes 3x3 matrices, got {m.rows}x{m.cols}")
+    r0, r1, r2 = m.to_rows()
+    adj = (cross(r1, r2), cross(r2, r0), cross(r0, r1))
+    d = dot(r0, adj[0])
     if abs(d) != 1:
         raise NotUnimodular(f"determinant {d}")
-    if m.rows != 3:
-        raise ValueError(f"unimodular_inverse takes 3x3 matrices, got {m.rows}x{m.cols}")
-    r = m.to_rows()
-    # cyclic-index minors carry the cofactor sign already
-    cof = [
-        [
-            r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
-            - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    return IntMatrix.from_rows([[cof[j][i] * d for j in range(3)] for i in range(3)])
+    return IntMatrix(3, 3, tuple(d * c[i] for i in range(3) for c in adj))
 
 
 def solve(a: IntMatrix, b: Sequence[int]) -> Vec | None:
@@ -403,51 +396,14 @@ def solve(a: IntMatrix, b: Sequence[int]) -> Vec | None:
     return snf.V.apply(y)
 
 
-def _hermite_row_basis(rows: Sequence[Vec]) -> list[Vec]:
-    """The unique Hermite-form basis of the lattice spanned by independent rows.
-
-    Pivots are positive, pivot columns increase, and entries above a pivot
-    are reduced into [0, pivot).  Uniqueness makes lattice-valued functions
-    returning this form literally idempotent.
-    """
-    work = [list(r) for r in rows]
-    m = len(work)
-    if m == 0:
-        return []
-    n = len(work[0])
-    top = 0
-    for col in range(n):
-        if top == m:
-            break
-        if all(work[i][col] == 0 for i in range(top, m)):
-            continue
-        for i in range(top + 1, m):
-            while work[i][col] != 0:
-                if work[top][col] == 0 or abs(work[i][col]) < abs(work[top][col]):
-                    work[top], work[i] = work[i], work[top]
-                    continue
-                q = work[i][col] // work[top][col]
-                work[i] = [x - q * y for x, y in zip(work[i], work[top])]
-        if work[top][col] < 0:
-            work[top] = [-x for x in work[top]]
-        pivot = work[top][col]
-        for i in range(top):
-            q = work[i][col] // pivot
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[top])]
-        top += 1
-    return [tuple(r) for r in work[:top]]
-
-
 def saturate(vectors: Iterable[Sequence[int]]) -> list[Vec]:
-    """Canonical basis of the saturation of the span of the given vectors.
+    """A basis of the saturation of the span of the given vectors.
 
     The saturation is the smallest sublattice containing the span whose
     quotient is torsion-free.  With U A V = D for the matrix A of input rows,
     the rows of A are integer combinations of d_i * (row i of V^-1), so the
-    rows of V^-1 at nonzero diagonal positions are a basis; it is returned
-    in Hermite form so equal lattices get equal bases.  Vectors have length
-    3, the size unimodular_inverse handles.
+    rows of V^-1 at nonzero diagonal positions are a basis.  Vectors have
+    length 3, the size unimodular_inverse handles.
     """
     rows = [tuple(r) for r in vectors]
     if not rows:
@@ -455,5 +411,4 @@ def saturate(vectors: Iterable[Sequence[int]]) -> list[Vec]:
     a = IntMatrix.from_rows(rows)
     snf = smith_normal_form(a)
     v_inv = unimodular_inverse(snf.V)
-    basis = [v_inv.row(i) for i, di in enumerate(snf.diagonal) if di != 0]
-    return _hermite_row_basis(basis)
+    return [v_inv.row(i) for i, di in enumerate(snf.diagonal) if di != 0]

@@ -62,20 +62,14 @@ def _expect(obj: Any, typ: type, path: str, what: str) -> Any:
     return obj
 
 
-def _int(obj: Any, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ManifoldFileError(path, f"expected an integer, got {type(obj).__name__}")
-    return obj
-
-
-def _int_rows(obj: Any, path: str, ncols: int | None) -> IntMatrix:
+def _int_rows(obj: Any, path: str) -> IntMatrix:
     rows = _expect(obj, list, path, "a list of rows")
     out = []
     for i, row in enumerate(rows):
         row = _expect(row, list, f"{path}[{i}]", "a list of integers")
-        if ncols is not None and len(row) != ncols:
-            raise ManifoldFileError(f"{path}[{i}]", f"expected {ncols} entries, got {len(row)}")
-        out.append([_int(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
+        if len(row) != 3:
+            raise ManifoldFileError(f"{path}[{i}]", f"expected 3 entries, got {len(row)}")
+        out.append([_expect(x, int, f"{path}[{i}][{j}]", "an integer") for j, x in enumerate(row)])
     try:
         return IntMatrix.from_rows(out)
     except ValueError as exc:
@@ -90,12 +84,12 @@ def _piece_from_obj(obj: Any, path: str) -> Piece:
     except ValueError:
         valid = ", ".join(k.value for k in PieceKind)
         raise ManifoldFileError(f"{path}.kind", f"unknown kind {kind_name!r}; one of: {valid}")
-    genus = _int(d.get("genus"), f"{path}.genus")
+    genus = _expect(d.get("genus"), int, f"{path}.genus", "an integer")
     label = _expect(d.get("monodromy_label", ""), str, f"{path}.monodromy_label", "a string")
     framing = _expect(d.get("framing"), list, f"{path}.framing", "a list of three names")
     if len(framing) != 3 or not all(isinstance(x, str) for x in framing):
         raise ManifoldFileError(f"{path}.framing", "expected three strings")
-    lam = _int(d.get("lambda_index"), f"{path}.lambda_index")
+    lam = _expect(d.get("lambda_index"), int, f"{path}.lambda_index", "an integer")
     h1 = d.get("h1")
     incl = d.get("inclusion")
     group = None
@@ -105,13 +99,16 @@ def _piece_from_obj(obj: Any, path: str) -> Piece:
         torsion = _expect(h1.get("torsion", []), list, f"{path}.h1.torsion", "a list")
         try:
             group = AbelianGroup(
-                free_rank=_int(h1.get("free_rank"), f"{path}.h1.free_rank"),
-                torsion=tuple(_int(t, f"{path}.h1.torsion[{i}]") for i, t in enumerate(torsion)),
+                free_rank=_expect(h1.get("free_rank"), int, f"{path}.h1.free_rank", "an integer"),
+                torsion=tuple(
+                    _expect(t, int, f"{path}.h1.torsion[{i}]", "an integer")
+                    for i, t in enumerate(torsion)
+                ),
             )
         except ValueError as exc:
             raise ManifoldFileError(f"{path}.h1", str(exc)) from exc
     if incl is not None:
-        incl_matrix = _int_rows(incl, f"{path}.inclusion", 3)
+        incl_matrix = _int_rows(incl, f"{path}.inclusion")
     try:
         return Piece(
             kind=kind,
@@ -146,7 +143,7 @@ def parse_manifold_file(text: str) -> ManifoldFile:
         raise ManifoldFileError("pieces", f"expected exactly two pieces, got {len(pieces_obj)}")
     pieces = tuple(_piece_from_obj(p, f"pieces[{i}]") for i, p in enumerate(pieces_obj))
     gluing_obj = _expect(doc.get("gluing"), dict, "gluing", "an object")
-    matrix = _int_rows(gluing_obj.get("matrix"), "gluing.matrix", 3)
+    matrix = _int_rows(gluing_obj.get("matrix"), "gluing.matrix")
     if matrix.rows != 3:
         raise ManifoldFileError("gluing.matrix", f"expected 3 rows, got {matrix.rows}")
     try:

@@ -16,7 +16,6 @@ from typing import Sequence, Union
 from .lattice import (
     IntMatrix,
     NonPrimitive,
-    NotUnimodular,
     Vec,
     as_ints,
     content,
@@ -196,10 +195,9 @@ def act(m: IntMatrix, x: Union[CurveClass, TorusClass]) -> Union[CurveClass, Tor
     Curves transform by the matrix itself, torus covectors by the inverse
     transpose, so containment and duality pairings are preserved.
     """
-    if m.rows != 3 or m.cols != 3 or abs(m.det()) != 1:
-        raise NotUnimodular("action requires a 3x3 matrix of determinant +-1")
+    inv = unimodular_inverse(m)  # raises NotUnimodular for any other matrix
     if isinstance(x, CurveClass):
         return CurveClass.of(m.apply(x.v))
     if isinstance(x, TorusClass):
-        return TorusClass.of(unimodular_inverse(m).transpose().apply(x.n))
+        return TorusClass.of(inv.transpose().apply(x.n))
     raise TypeError(f"cannot act on {type(x).__name__}")

@@ -1,6 +1,7 @@
-"""Static checks on the package's imports: every name a module imports is
-used there, and every name the package root re-exports is defined in the
-module it is imported from, so a deletion cannot leave a stale import."""
+"""Static checks on the package's names: every name a module imports is
+used there, every module-level private (not dunder) name is used in its own
+module, and every name the package root re-exports is defined in the module
+it is imported from, so a deletion cannot leave a stale import or helper."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,18 @@ def test_every_imported_name_is_used(path):
     tree = _tree(path)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_definition_is_used(path):
+    tree = _tree(path)
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    private = {
+        name for name in _top_level_definitions(tree) if name[0] == "_" and name[-2:] != "__"
+    }
+    assert sorted(private - loaded) == []
 
 
 def test_every_export_is_defined_in_its_module():

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations, product
 
 import pytest
@@ -24,6 +25,8 @@ from torusglue.lattice import (
     xgcd,
 )
 from torusglue.torus3 import CurveClass, FibrationOfT3, TorusClass
+
+from conftest import random_unimodular
 
 
 def minors_gcd(m: IntMatrix, k: int) -> int:
@@ -299,7 +302,14 @@ def test_saturate_coordinate_plane():
 @given(st.lists(vectors3, max_size=4))
 def test_saturate_properties(vecs):
     basis = saturate(vecs)
-    assert saturate(basis) == basis  # idempotent
+    again = saturate(basis)
+    # saturating again spans the same lattice: each basis solves in the other
+    for old, new in [(basis, again), (again, basis)]:
+        if old:
+            m = IntMatrix.from_columns(old)
+            assert all(solve(m, v) is not None for v in new)
+    # one basis vector per nonzero invariant factor of the inputs
+    assert len(basis) == sum(1 for d in smith_normal_form(IntMatrix.from_rows(vecs)).diagonal if d)
     if basis:
         # the quotient by the saturation is torsion-free: all invariant factors 1
         assert set(smith_normal_form(IntMatrix.from_rows(basis)).diagonal) == {1}
@@ -328,12 +338,21 @@ def test_unimodular_inverse():
     m = IntMatrix.from_rows([[2, 1, 0], [1, 1, 0], [3, -2, 1]])
     inv = unimodular_inverse(m)
     assert (m @ inv).entries == IntMatrix.identity(3).entries
-    with pytest.raises(NotUnimodular):
-        unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
-    with pytest.raises(NotUnimodular):
-        unimodular_inverse(IntMatrix.from_rows([[1, 0, 0]]))
-    with pytest.raises(ValueError):
-        unimodular_inverse(IntMatrix.identity(4))  # the adjugate route stops at 3x3
+    rng = random.Random(8)
+    for _ in range(500):  # entries spread up to the 10^6 cap
+        m = random_unimodular(rng, max_factors=80, coeff=9)
+        inv = unimodular_inverse(m)
+        assert m @ inv == IntMatrix.identity(3) == inv @ m
+    for bad in [
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # determinant 0
+        [[2, 0, 0], [0, 1, 0], [0, 0, 1]],  # determinant 2
+        [[2, 0], [0, 1]],
+        [[1, 0], [0, 1]],
+        [[1, 0, 0]],
+        IntMatrix.identity(4).to_rows(),  # the adjugate route stops at 3x3
+    ]:
+        with pytest.raises(NotUnimodular):
+            unimodular_inverse(IntMatrix.from_rows(bad))
 
 
 def test_indexing_out_of_range_raises():
@@ -354,14 +373,26 @@ def test_indexing_out_of_range_raises():
     "build",
     [
         lambda two: IntMatrix(1, 2, (two, 0)),
+        lambda two: IntMatrix(two, 1, (0, 0)),
         lambda two: AbelianGroup(0, (two,)),
+        lambda two: AbelianGroup(two, ()),
         lambda two: CurveClass((1, two, 0)),
         lambda two: TorusClass((1, 0, two)),
         lambda two: FibrationOfT3((two, 1, 0), ((1, -2, 0), (0, 0, 1))),
         lambda two: FibrationOfT3((0, 0, 1), ((1, two, 0), (0, 1, 0))),
         lambda two: GluingMap(IntMatrix(3, 3, (1, two, 0, 0, 1, 0, 0, 0, 1))),
     ],
-    ids=["IntMatrix", "AbelianGroup", "CurveClass", "TorusClass", "phi", "fiber_basis", "GluingMap"],
+    ids=[
+        "IntMatrix",
+        "IntMatrix.rows",
+        "AbelianGroup",
+        "AbelianGroup.free_rank",
+        "CurveClass",
+        "TorusClass",
+        "phi",
+        "fiber_basis",
+        "GluingMap",
+    ],
 )
 @pytest.mark.parametrize("two", [2.0, 2.5, "2"])
 def test_integer_entries_reject_floats_and_strings(build, two):
@@ -376,5 +407,7 @@ def test_matrix_validation():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 2, 3), (4, 5)])
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3, 4]]).apply((1, 2, 3))

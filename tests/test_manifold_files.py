@@ -80,6 +80,9 @@ def test_canonical_round_trip_is_byte_identical():
         (lambda d: d["pieces"][0].update(kind="mystery"), "pieces[0].kind"),
         (lambda d: d["pieces"][1].update(lambda_index=5), "pieces[1]"),
         (lambda d: d["pieces"][0].update(genus="x"), "pieces[0].genus"),
+        pytest.param(
+            lambda d: d["pieces"][0].update(genus=True), "pieces[0].genus", id="genus-bool"
+        ),
         (lambda d: d["pieces"][0].update(framing=["a", "b"]), "pieces[0].framing"),
         (lambda d: d["pieces"][0]["h1"].update(torsion=[1]), "pieces[0].h1"),
         (
@@ -98,6 +101,8 @@ def test_parse_errors_name_the_field(mutate, field):
     with pytest.raises(ManifoldFileError) as err:
         parse_manifold_file(json.dumps(doc))
     assert err.value.field_path == field
+    if doc["pieces"][0].get("genus") is True:
+        assert str(err.value) == "pieces[0].genus: expected an integer, got bool"
 
 
 def test_parse_error_on_bad_json():

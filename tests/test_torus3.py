@@ -185,6 +185,8 @@ def test_act_examples():
     assert act(swap, CurveClass.of((1, 0, 0))).v == (0, 1, 0)
     with pytest.raises(NotUnimodular):
         act(IntMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), c)
+    with pytest.raises(NotUnimodular):
+        act(IntMatrix.identity(2), c)
 
 
 def test_act_properties():
