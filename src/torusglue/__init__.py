@@ -40,9 +40,7 @@ from .pieces import (
     boundary_lambda,
     can_extend,
     extension_certificate,
-    knot_exterior_product,
     sample_piece,
-    surface_bundle_over_torus,
     torus_times_disk,
 )
 from .surgery import (

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import IntMatrix, NotUnimodular
+from .lattice import IntMatrix, NotUnimodular, cross, dot
 from .pieces import ExtensionCertificate, Piece, boundary_lambda, extension_certificate
 from .torus3 import (
     CurveClass,
@@ -38,7 +38,8 @@ class GluingMap:
     def __post_init__(self) -> None:
         if self.m.rows != 3 or self.m.cols != 3:
             raise NotUnimodular("gluing matrix must be 3x3")
-        det = self.m.det()
+        r0, r1, r2 = self.m.to_rows()
+        det = dot(r0, cross(r1, r2))
         if abs(det) != 1:
             raise NotUnimodular(f"gluing matrix has determinant {det}")
 

@@ -403,11 +403,15 @@ def saturate(vectors: Iterable[Sequence[int]]) -> list[Vec]:
     quotient is torsion-free.  With U A V = D for the matrix A of input rows,
     the rows of A are integer combinations of d_i * (row i of V^-1), so the
     rows of V^-1 at nonzero diagonal positions are a basis.  Vectors have
-    length 3, the size unimodular_inverse handles.
+    length 3, the size unimodular_inverse handles; any other raises
+    ValueError.
     """
     rows = [tuple(r) for r in vectors]
     if not rows:
         return []
+    for r in rows:
+        if len(r) != 3:
+            raise ValueError(f"saturate takes vectors of length 3, got {r}")
     a = IntMatrix.from_rows(rows)
     snf = smith_normal_form(a)
     v_inv = unimodular_inverse(snf.V)

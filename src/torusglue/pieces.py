@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 
 from .lattice import AbelianGroup, IntMatrix, cross, dot, solve, xgcd
-from .torus3 import CurveClass, FibrationOfT3, TorusClass, dual_curve
+from .torus3 import CurveClass, FibrationOfT3, dual_curve
 
 
 class ExtensionObstructed(ValueError):
@@ -65,7 +65,12 @@ class Piece:
             raise ValueError(f"kind {self.kind!r} is not a PieceKind")
         object.__setattr__(self, "genus", operator.index(self.genus))
         object.__setattr__(self, "lambda_index", operator.index(self.lambda_index))
-        object.__setattr__(self, "framing", tuple(self.framing))
+        if not isinstance(self.monodromy_label, str):
+            raise TypeError(f"monodromy_label {self.monodromy_label!r} is not a string")
+        framing = self.framing
+        object.__setattr__(self, "framing", tuple(framing))
+        if isinstance(framing, str) or not all(isinstance(n, str) for n in self.framing):
+            raise TypeError(f"framing {framing!r} is not a sequence of names")
         if len(self.framing) != 3:
             raise ValueError("framing names three basis vectors")
         if self.lambda_index not in (1, 2, 3):
@@ -121,50 +126,6 @@ def torus_times_disk(
     )
 
 
-def knot_exterior_product(
-    genus: int,
-    monodromy_label: str = "",
-    framing: tuple[str, str, str] = ("mu", "lambda", "s"),
-    lambda_index: int = 2,
-    h1: AbelianGroup | None = None,
-    inclusion: IntMatrix | None = None,
-) -> Piece:
-    """S^1 times the exterior of a fibered knot, with declared homology data.
-
-    The defaults (no declared data) are fine for fibration finding; homology
-    verification needs h1 and inclusion.
-    """
-    return Piece(
-        kind=PieceKind.KNOT_EXTERIOR_PRODUCT,
-        genus=genus,
-        monodromy_label=monodromy_label,
-        framing=framing,
-        lambda_index=lambda_index,
-        h1=h1,
-        inclusion=inclusion,
-    )
-
-
-def surface_bundle_over_torus(
-    genus: int,
-    monodromy_label: str = "",
-    framing: tuple[str, str, str] = ("lambda", "t1", "t2"),
-    lambda_index: int = 1,
-    h1: AbelianGroup | None = None,
-    inclusion: IntMatrix | None = None,
-) -> Piece:
-    """A genus-g once-punctured-surface bundle over T^2, boundary fixed pointwise."""
-    return Piece(
-        kind=PieceKind.SURFACE_BUNDLE_OVER_TORUS,
-        genus=genus,
-        monodromy_label=monodromy_label,
-        framing=framing,
-        lambda_index=lambda_index,
-        h1=h1,
-        inclusion=inclusion,
-    )
-
-
 def sample_piece(kind: PieceKind) -> Piece:
     """The simplest representative of each kind, with declared homology.
 
@@ -178,20 +139,24 @@ def sample_piece(kind: PieceKind) -> Piece:
     if kind is PieceKind.TORUS_TIMES_DISK:
         return torus_times_disk()
     if kind is PieceKind.KNOT_EXTERIOR_PRODUCT:
-        return knot_exterior_product(
+        return Piece(
+            kind=kind,
             genus=1,
             monodromy_label="genus-1 fibered knot in S^3",
+            framing=("mu", "lambda", "s"),
+            lambda_index=2,
             h1=AbelianGroup(2, ()),
             inclusion=IntMatrix.from_rows([(1, 0, 0), (0, 0, 1)]),
         )
     if kind is PieceKind.SURFACE_BUNDLE_OVER_TORUS:
-        return surface_bundle_over_torus(
+        return Piece(
+            kind=kind,
             genus=1,
             monodromy_label="trivial bundle",
+            framing=("lambda", "t1", "t2"),
+            lambda_index=1,
             h1=AbelianGroup(4, ()),
-            inclusion=IntMatrix.from_rows(
-                [(0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)]
-            ),
+            inclusion=IntMatrix.from_rows([(0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)]),
         )
     raise ValueError(f"unknown kind {kind}")
 
@@ -250,5 +215,5 @@ def extension_certificate(p: Piece, fib: FibrationOfT3) -> ExtensionCertificate:
     if g != 1:
         raise AssertionError(f"lambda has coordinates {coords} of gcd {g} in the fiber basis")
     gamma = tuple(-t * u + s * w for u, w in zip(b1, b2))
-    alpha = dual_curve(TorusClass.of(fib.phi))
+    alpha = dual_curve(fib)
     return ExtensionCertificate(gamma=CurveClass.of(gamma), lam=lam, alpha=alpha)

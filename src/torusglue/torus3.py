@@ -158,25 +158,27 @@ def contains(t: TorusClass, c: CurveClass) -> bool:
     return dot(t.n, c.v) == 0
 
 
-def dual_curve(t: TorusClass) -> CurveClass:
-    """A deterministic curve class c with n . c = 1.
+def dual_curve(fib: FibrationOfT3) -> CurveClass:
+    """A deterministic curve class c with n . c = 1, n the sign-normalized phi.
 
     One exists because n is primitive.  Built by two extended gcds; if the
     result is not sign-normalized, it is shifted by the unique smallest
-    multiple of a fixed kernel vector that makes the first coordinate
-    positive (which never changes the pairing).
+    multiple of the first fiber basis vector off the first-coordinate axis
+    that makes the first coordinate positive (which never changes the
+    pairing, since the fiber basis spans ker n).
     """
-    n1, n2, n3 = t.n
+    n = sign_normalize(fib.phi)
+    n1, n2, n3 = n
     g, x, y = xgcd(n1, n2)
     if g == 0:
         d = (0, 0, 1 if n3 > 0 else -1)
     else:
         _, u, w = xgcd(g, n3)
         d = (x * u, y * u, w)
-    if dot(t.n, d) != 1:
-        raise AssertionError(f"extended gcds gave {d}, which pairs to {dot(t.n, d)} with {t.n}")
+    if dot(n, d) != 1:
+        raise AssertionError(f"extended gcds gave {d}, which pairs to {dot(n, d)} with {n}")
     if not is_sign_normalized(d):
-        for b in kernel_basis(IntMatrix.from_rows([t.n])):
+        for b in fib.fiber_basis:
             if b[0] != 0:
                 k = b if b[0] > 0 else tuple(-x for x in b)
                 shift = (k[0] - d[0]) // k[0]  # smallest t with d0 + t*k0 >= 1
@@ -184,8 +186,8 @@ def dual_curve(t: TorusClass) -> CurveClass:
                 break
         else:
             raise AssertionError("unreachable: kernel meets the first-coordinate axis")
-    if dot(t.n, d) != 1:
-        raise AssertionError(f"sign normalization gave {d}, which pairs to {dot(t.n, d)} with {t.n}")
+    if dot(n, d) != 1:
+        raise AssertionError(f"sign normalization gave {d}, which pairs to {dot(n, d)} with {n}")
     return CurveClass(tuple(d))
 
 

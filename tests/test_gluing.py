@@ -19,6 +19,21 @@ def test_gluing_map_validation():
     f = GluingMap(IntMatrix.from_columns([(1, 0, 0), (0, 0, 1), (0, 1, 0)]))
     assert f.m.det() == -1
     assert GluingMap(IntMatrix.identity(3)).m.det() == 1
+    with pytest.raises(NotUnimodular, match=r"^gluing matrix must be 3x3$"):
+        GluingMap(IntMatrix.identity(4))
+
+
+def test_gluing_map_determinant_matches_bareiss():
+    # the triple-product check against the general determinant, message included
+    rng = random.Random(5)
+    for _ in range(2000):
+        m = IntMatrix(3, 3, tuple(rng.randint(-3, 3) for _ in range(9)))
+        if abs(m.det()) == 1:
+            assert GluingMap(m).m is m
+        else:
+            with pytest.raises(NotUnimodular) as info:
+                GluingMap(m)
+            assert str(info.value) == f"gluing matrix has determinant {m.det()}"
 
 
 def test_swap_gluing_coordinate_example():

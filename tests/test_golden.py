@@ -3,7 +3,8 @@
 Each digest is the SHA-256 of the exit code, stdout and stderr of a fixed
 sequence of `main([...])` calls.  The digests were recorded before any
 performance work on the code they cover; a change that alters a single
-byte of user-visible output fails here.
+byte of user-visible output fails here.  One more digest pins the library's
+fibration certificates, which the command line prints only in part.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import math
 from pathlib import Path
 
 from torusglue.cli import main
-from torusglue.pieces import PieceKind
+from torusglue.enumeration import enumerate_gluings
+from torusglue.gluing import find_fibration
+from torusglue.pieces import PieceKind, sample_piece
+from torusglue.surgery import SURGERY_DISK_PAIR
 
 README_EXAMPLE = Path(__file__).parent / "data" / "readme_example.json"
 # the README document with h1/inclusion declared on its second piece
@@ -36,6 +40,10 @@ README_HOMOLOGY_DIGEST = (
 )
 HOMOLOGY_EXAMPLE_DIGEST = (
     "18387a343fb1a2bc4ce02ce0822f0ddaf7b4ed2d9a6bc5f0c406e544b31d39ca"
+)
+# find_fibration on every N = 1 gluing of the nine kind pairs
+CERTIFICATES_AT_1_DIGEST = (
+    "2848908d8585054169e82a9b08770a083799f9077cccf503eb1a580be7d02b5e"
 )
 
 
@@ -79,3 +87,24 @@ def test_readme_example_homology():
 
 def test_homology_example():
     assert _digest([["homology", str(HOMOLOGY_EXAMPLE)]]) == HOMOLOGY_EXAMPLE_DIGEST
+
+
+def _certificate_lines():
+    """phi, torus, parallel_case and both (gamma, lambda, alpha) triples of
+    every N = 1 gluing, with the pieces `enumerate` uses for each pair."""
+    for k1, k2 in itertools.product(PieceKind, repeat=2):
+        if k1 is k2 is PieceKind.TORUS_TIMES_DISK:
+            w, w_prime = SURGERY_DISK_PAIR
+        else:
+            w, w_prime = sample_piece(k1), sample_piece(k2)
+        for x in enumerate_gluings(1, w, w_prime):
+            r = find_fibration(x)
+            certs = [(c.gamma.v, c.lam.v, c.alpha.v) for c in (r.cert_w, r.cert_w_prime)]
+            yield f"{r.phi.phi} {r.torus.n} {r.parallel_case} {certs}\n"
+
+
+def test_certificates_at_1_all_kind_pairs():
+    lines = list(_certificate_lines())
+    assert len(lines) == 9 * 62
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == CERTIFICATES_AT_1_DIGEST

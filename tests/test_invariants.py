@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,7 +15,6 @@ from torusglue.lattice import AbelianGroup, IntMatrix, cokernel, unimodular_inve
 from torusglue.pieces import (
     Piece,
     PieceKind,
-    knot_exterior_product,
     sample_piece,
     torus_times_disk,
 )
@@ -55,10 +55,8 @@ def test_h1_with_declared_torsion():
     # mapping mu -> a, lambda -> 0, s -> t; glued to a canonical disk piece by
     # the permutation sending (s', mu', lambda') to (s, mu, lambda).
     # By hand: relations a = mu', t = s', 2t = 0 leave Z + Z/2.
-    w = knot_exterior_product(
-        genus=1,
-        h1=AbelianGroup(1, (2,)),
-        inclusion=IntMatrix.from_rows([(1, 0, 0), (0, 0, 1)]),
+    w = dataclasses.replace(
+        sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT), h1=AbelianGroup(1, (2,))
     )
     wp = torus_times_disk()
     f = GluingMap(IntMatrix.from_columns([(0, 0, 1), (1, 0, 0), (0, 1, 0)]))
@@ -67,10 +65,8 @@ def test_h1_with_declared_torsion():
 
 
 def test_presentation_shape():
-    w = knot_exterior_product(
-        genus=1,
-        h1=AbelianGroup(1, (2,)),
-        inclusion=IntMatrix.from_rows([(1, 0, 0), (0, 0, 1)]),
+    w = dataclasses.replace(
+        sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT), h1=AbelianGroup(1, (2,))
     )
     wp = torus_times_disk()
     pres = h1_presentation(glue(w, wp, GluingMap(IntMatrix.identity(3))))
@@ -80,7 +76,10 @@ def test_presentation_shape():
 
 
 def test_missing_h1_data():
-    w = knot_exterior_product(genus=1)  # no declared data
+    # no declared data
+    w = dataclasses.replace(
+        sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT), h1=None, inclusion=None
+    )
     x = glue(w, torus_times_disk(), GluingMap(IntMatrix.identity(3)))
     with pytest.raises(MissingH1Data):
         mayer_vietoris_h1(x)

@@ -286,6 +286,11 @@ def test_saturate_examples():
     assert saturate([(2, 0, 0)]) == [(1, 0, 0)]
     assert saturate([]) == []
     assert saturate([(0, 0, 0)]) == []
+    # a vector of another length is named, not a matrix built from it
+    with pytest.raises(ValueError, match=r"^saturate takes vectors of length 3, got \(1, 2\)$"):
+        saturate([(1, 2)])
+    with pytest.raises(ValueError, match=r"got \(0, 1, 0, 0\)$"):
+        saturate([(1, 0, 0), (0, 1, 0, 0)])
 
 
 def test_saturate_coordinate_plane():

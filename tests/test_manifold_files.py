@@ -11,6 +11,7 @@ from torusglue.manifold_files import (
     serialize_manifold_file,
 )
 from torusglue.pieces import PieceKind, sample_piece, torus_times_disk
+from torusglue.surgery import SURGERY_DISK_PAIR
 
 
 def example_file(**overrides):
@@ -55,6 +56,16 @@ def test_parse_example():
     assert mf.gluing.m.row(0) == (0, 1, 0)
     assert mf.orientation_note == "cyclic permutation"
     assert mf.metadata == {"label": "fixture"}
+
+
+@pytest.mark.parametrize(
+    "piece",
+    [*(sample_piece(kind) for kind in PieceKind), *SURGERY_DISK_PAIR],
+    ids=[*(kind.value for kind in PieceKind), "surgery-disk-1", "surgery-disk-2"],
+)
+def test_every_library_piece_parses_back_equal(piece):
+    mf = ManifoldFile(version="1", pieces=(piece, piece), gluing=GluingMap(IntMatrix.identity(3)))
+    assert parse_manifold_file(serialize_manifold_file(mf)).pieces == (piece, piece)
 
 
 def test_canonical_round_trip_is_byte_identical():

@@ -13,9 +13,7 @@ from torusglue.pieces import (
     boundary_lambda,
     can_extend,
     extension_certificate,
-    knot_exterior_product,
     sample_piece,
-    surface_bundle_over_torus,
     torus_times_disk,
 )
 from torusglue.torus3 import CurveClass, TorusClass, fibration_from_torus, sign_normalize
@@ -49,16 +47,17 @@ def test_torus_times_disk_other_framings():
 
 def test_boundary_lambda_examples():
     assert boundary_lambda(torus_times_disk()).v == (0, 0, 1)
-    assert boundary_lambda(knot_exterior_product(genus=1, lambda_index=2)).v == (0, 1, 0)
+    assert boundary_lambda(sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT)).v == (0, 1, 0)
     for p in all_piece_fixtures():
         assert content(boundary_lambda(p).v) == 1
 
 
 def test_piece_validation():
+    knot = sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT)
     with pytest.raises(ValueError):
-        knot_exterior_product(genus=1, lambda_index=4)
+        dataclasses.replace(knot, lambda_index=4)
     with pytest.raises(ValueError):
-        knot_exterior_product(genus=-1)
+        dataclasses.replace(knot, genus=-1)
     with pytest.raises(ValueError):
         # h1 without inclusion
         Piece(
@@ -72,11 +71,7 @@ def test_piece_validation():
         )
     with pytest.raises(ValueError):
         # inclusion rows must match the declared generator count
-        knot_exterior_product(
-            genus=1,
-            h1=AbelianGroup(2, ()),
-            inclusion=IntMatrix.from_rows([(1, 0, 0)]),
-        )
+        dataclasses.replace(knot, inclusion=IntMatrix.from_rows([(1, 0, 0)]))
     with pytest.raises(ValueError):
         # a T^2 x D^2 whose lambda does not bound
         Piece(
@@ -96,11 +91,22 @@ def test_piece_validation():
         ({"kind": "torus_times_disk", "genus": 5}, ValueError),
         ({"genus": 1.0}, TypeError),
         ({"lambda_index": 2.0}, TypeError),
+        # pieces whose serialized file would not parse back
+        ({"framing": "abc"}, TypeError),
+        ({"framing": ("mu", "lambda", 3)}, TypeError),
+        ({"monodromy_label": None}, TypeError),
     ],
-    ids=["string kind", "float genus", "float lambda_index"],
+    ids=[
+        "string kind",
+        "float genus",
+        "float lambda_index",
+        "string framing",
+        "integer framing name",
+        "missing monodromy_label",
+    ],
 )
 def test_piece_rejects_unchecked_kind_and_indices(change, error):
-    p = knot_exterior_product(genus=1)
+    p = sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT)
     with pytest.raises(error):
         dataclasses.replace(p, **change)
 

@@ -160,22 +160,33 @@ def test_contains_examples():
 
 
 def test_dual_curve_examples():
-    assert dual_curve(TorusClass.of((0, 0, 1))).v == (0, 0, 1)
+    assert dual_curve(fibration_from_torus(TorusClass.of((0, 0, 1)))).v == (0, 0, 1)
     t = TorusClass.of((2, 3, 5))
-    assert dot(t.n, dual_curve(t).v) == 1
+    assert dot(t.n, dual_curve(fibration_from_torus(t)).v) == 1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_dual_curve_of_hand_built_fibration(sign):
+    # phi need not be sign-normalized: the curve pairs to 1 with the
+    # normalized covector; the gcd answer (-1, 1, 0) is shifted along the
+    # first basis vector off the first-coordinate axis
+    phi = tuple(sign * x for x in (2, 3, 5))
+    for basis in [((1, 1, -1), (3, -2, 0)), ((0, 5, -3), (-1, -1, 1))]:
+        c = dual_curve(FibrationOfT3(phi=phi, fiber_basis=basis))
+        assert dot((2, 3, 5), c.v) == 1
 
 
 @given(primitive3)
 def test_dual_curve_pairing(v):
     t = TorusClass.of(v)
-    c = dual_curve(t)
+    c = dual_curve(fibration_from_torus(t))
     assert dot(t.n, c.v) == 1
 
 
 def test_dual_curve_large_entries():
     # the construction is a gcd computation, not a search
     t = TorusClass.of((987654321, 123456789, 55555556))
-    assert dot(t.n, dual_curve(t).v) == 1
+    assert dot(t.n, dual_curve(fibration_from_torus(t)).v) == 1
 
 
 def test_act_examples():
@@ -203,7 +214,7 @@ def test_act_properties():
         if a != b:
             assert act(m1, torus_through(a, b)) == torus_through(act(m1, a), act(m1, b))
         # classes are unoriented, so the pairing is preserved up to sign
-        assert abs(dot(act(m1, t).n, act(m1, dual_curve(t)).v)) == 1
+        assert abs(dot(act(m1, t).n, act(m1, dual_curve(fibration_from_torus(t))).v)) == 1
 
 
 def test_saturation_equals_kernel_small_box():
@@ -229,7 +240,7 @@ def test_dual_curve_check_survives_optimized_interpreter():
     code = (
         "from torusglue import torus3\n"
         "torus3.xgcd = lambda a, b: (1, 0, 0)\n"
-        "torus3.dual_curve(torus3.TorusClass((2, 3, 5)))\n"
+        "torus3.dual_curve(torus3.fibration_from_torus(torus3.TorusClass((2, 3, 5))))\n"
     )
     proc = run_python("-c", code, optimize=True)
     assert proc.returncode == 1
