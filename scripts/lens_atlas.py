@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from torusglue.enumeration import MAX_ENUMERATION_ENTRY, check, enumerate_gluings
-from torusglue.surgery import SURGERY_DISK_PAIR, lens_equivalent
+from torusglue.surgery import SURGERY_DISK_PAIR, lens_class
 
 
 def main() -> int:
@@ -27,17 +27,11 @@ def main() -> int:
     args = parser.parse_args()
 
     counts: Counter = Counter()
-    representatives: list = []
     bad = 0
     for manifold in enumerate_gluings(args.max_entry, *SURGERY_DISK_PAIR):
         verdict = check(manifold)
         bad += not verdict.consistent
-        lens = verdict.lens
-        rep = next((r for r in representatives if lens_equivalent(lens, r)), None)
-        if rep is None:
-            representatives.append(lens)
-            rep = lens
-        counts[str(rep)] += 1
+        counts[str(lens_class(verdict.lens))] += 1
 
     print(f"gluing entries in [-{args.max_entry}, {args.max_entry}]: "
           f"{sum(counts.values())} symmetry classes of gluings")

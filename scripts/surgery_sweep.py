@@ -13,11 +13,10 @@ box actually contains.
 import argparse
 import math
 import sys
-from collections import defaultdict
 
 from torusglue.enumeration import check
 from torusglue.gluing import GluingMap, glue
-from torusglue.surgery import SURGERY_DISK_PAIR, SurgerySpec, lens_equivalent
+from torusglue.surgery import SURGERY_DISK_PAIR, SurgerySpec, lens_class
 
 
 def main() -> int:
@@ -40,12 +39,7 @@ def main() -> int:
         print(f"{f'({p},{q})':>10}  {str(lens):>8}  {str(h1):>10}  {'ok' if ok else 'MISMATCH'}")
 
     mismatches = [r for r in rows if not r[4]]
-    classes: dict[int, list] = defaultdict(list)
-    for _, _, lens, _, _ in rows:
-        reps = classes[lens.q]
-        if not any(lens_equivalent(lens, rep) for rep in reps):
-            reps.append(lens)
-    distinct = sum(len(v) for v in classes.values())
+    distinct = len({lens_class(lens) for _, _, lens, _, _ in rows})
     print()
     print(f"{len(rows)} slopes, {distinct} distinct manifolds up to unoriented equivalence")
     if mismatches:

@@ -50,6 +50,7 @@ from .surgery import (
     SurgerySpec,
     classify_double_disk_gluing,
     generalized_fs_surgery,
+    lens_class,
     lens_equivalent,
     lens_normalize,
     obstruction_check,

@@ -25,12 +25,18 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .enumeration import MAX_ENUMERATION_ENTRY, Verdict, check, enumerate_gluings
+from .enumeration import (
+    MAX_ENUMERATION_ENTRY,
+    Verdict,
+    check,
+    enumerate_gluings,
+    pieces_for_kinds,
+)
 from .gluing import GluedManifold, GluingMap, find_fibration, glue
 from .invariants import MissingH1Data, euler_characteristic_glued, mayer_vietoris_h1
-from .lattice import AbelianGroup, IntMatrix
-from .manifold_files import ManifoldFileError, parse_manifold_file
-from .pieces import ExtensionCertificate, PieceKind, sample_piece
+from .lattice import IntMatrix
+from .manifold_files import ManifoldFileError, h1_to_obj, matrix_to_obj, parse_manifold_file
+from .pieces import ExtensionCertificate, PieceKind
 from .surgery import SURGERY_DISK_PAIR, NotCoprime, SurgerySpec, obstruction_check
 
 EXIT_OK = 0
@@ -56,14 +62,6 @@ def _format_matrix_rows(m: IntMatrix) -> list[str]:
     return ["[" + " ".join(f"{x:>3}" for x in m.row(i)) + "]" for i in range(m.rows)]
 
 
-def _matrix_obj(m: IntMatrix) -> list[list[int]]:
-    return [list(r) for r in m.to_rows()]
-
-
-def _h1_obj(h1: AbelianGroup) -> dict[str, Any]:
-    return {"free_rank": h1.free_rank, "torsion": list(h1.torsion)}
-
-
 def _cert_obj(cert: ExtensionCertificate) -> dict[str, Any]:
     return {"gamma": list(cert.gamma.v), "lambda": list(cert.lam.v), "alpha": list(cert.alpha.v)}
 
@@ -73,7 +71,7 @@ def _cert_text(cert: ExtensionCertificate) -> str:
 
 
 def _verdict_obj(v: Verdict) -> dict[str, Any]:
-    obj: dict[str, Any] = {"h1": _h1_obj(v.h1), "chi": v.chi, "consistent": v.consistent}
+    obj: dict[str, Any] = {"h1": h1_to_obj(v.h1), "chi": v.chi, "consistent": v.consistent}
     if v.lens is not None:
         obj["lens"] = {"q": v.lens.q, "p": v.lens.p}
     else:
@@ -123,7 +121,7 @@ def cmd_surgery(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc))
     x = glue(*SURGERY_DISK_PAIR, GluingMap(spec.completion))
     v = check(x)
-    gluing = {"matrix": _matrix_obj(x.f.m), "orientation_note": f"det={x.f.m.det():+d}"}
+    gluing = {"matrix": matrix_to_obj(x.f.m), "orientation_note": f"det={x.f.m.det():+d}"}
     verdict = "CONSISTENT" if v.consistent else "INCONSISTENT"
     _emit(args, {**_verdict_obj(v), "gluing": gluing}, lambda: [
         f"{v.lens}; H1 = {v.h1}; chi = {v.chi}; {verdict}",
@@ -158,7 +156,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
     except MissingH1Data as exc:
         raise ManifoldFileError("pieces", str(exc)) from exc
     chi = euler_characteristic_glued(manifold)
-    _emit(args, {"h1": _h1_obj(h1), "chi": chi}, lambda: [f"H1 = {h1}; chi = {chi}"])
+    _emit(args, {"h1": h1_to_obj(h1), "chi": chi}, lambda: [f"H1 = {h1}; chi = {chi}"])
     return EXIT_OK
 
 
@@ -169,7 +167,7 @@ def _row_text(x: GluedManifold, v: Verdict, det: int) -> str:
         parallel = "true" if v.fibration.parallel_case else "false"
         summary = f"phi={_format_vec(v.fibration.phi.phi)} parallel={parallel}"
     return (
-        f"{json.dumps(_matrix_obj(x.f.m))} det={det:+d} {summary} "
+        f"{json.dumps(matrix_to_obj(x.f.m))} det={det:+d} {summary} "
         f"H1={v.h1} chi={v.chi} {'ok' if v.consistent else 'INCONSISTENT'}"
     )
 
@@ -185,19 +183,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError:
         valid = ", ".join(k.value for k in PieceKind)
         raise _UsageError(f"unknown piece kind; valid kinds: {valid}")
-    if pair == (PieceKind.TORUS_TIMES_DISK, PieceKind.TORUS_TIMES_DISK):
-        w, w_prime = SURGERY_DISK_PAIR  # so rows read as unknot surgeries
-    else:
-        w, w_prime = sample_piece(pair[0]), sample_piece(pair[1])
 
     rows = bad = 0
-    for x in enumerate_gluings(args.max_entry, w, w_prime):
+    for x in enumerate_gluings(args.max_entry, *pieces_for_kinds(*pair)):
         v = check(x)
         rows += 1
         bad += not v.consistent
         if args.format == "machine-readable" or not args.quiet:
             det = x.f.m.det()
-            obj = {**_verdict_obj(v), "matrix": _matrix_obj(x.f.m), "det": det}
+            obj = {**_verdict_obj(v), "matrix": matrix_to_obj(x.f.m), "det": det}
             _emit(args, obj, lambda: [_row_text(x, v, det)])
     if args.format != "machine-readable":
         print(f"{rows} gluings, {bad} inconsistent")

@@ -13,8 +13,8 @@ from typing import Iterator, Sequence
 from .gluing import FibrationResult, GluedManifold, GluingMap, find_fibration, glue
 from .invariants import euler_characteristic_glued, mayer_vietoris_h1
 from .lattice import AbelianGroup, IntMatrix, cross, is_primitive
-from .pieces import Piece, PieceKind
-from .surgery import LensSpace, classify_double_disk_gluing
+from .pieces import Piece, PieceKind, sample_piece
+from .surgery import SURGERY_DISK_PAIR, LensSpace, classify_double_disk_gluing
 from .torus3 import is_sign_normalized
 
 # only orbit representatives are classified: 62 rows at N = 1, 1,077 at
@@ -55,6 +55,14 @@ def check(x: GluedManifold) -> Verdict:
         lens = classify_double_disk_gluing(x)
         return Verdict(h1, chi, lens, None, h1 == expected_h1_for_lens(lens) and chi == 0)
     return Verdict(h1, chi, None, find_fibration(x), chi == 0)
+
+
+def pieces_for_kinds(kind_w: PieceKind, kind_w_prime: PieceKind) -> tuple[Piece, Piece]:
+    """The pieces a sweep of a kind pair glues: SURGERY_DISK_PAIR for two
+    T^2 x D^2 kinds, so rows read as unknot surgeries, else sample pieces."""
+    if kind_w is kind_w_prime is PieceKind.TORUS_TIMES_DISK:
+        return SURGERY_DISK_PAIR
+    return sample_piece(kind_w), sample_piece(kind_w_prime)
 
 
 def _signed_permutations_fixing(index: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -131,8 +139,8 @@ def enumerate_gluings(
     Only unimodular matrices are generated, row by row: a primitive r1, an
     r2 whose cross product c = r1 x r2 is primitive, and every r3 in the box
     with r3 . c = +-1 (that dot product is the determinant).  Flipping the
-    sign of one row or one column is a symmetry, so every row and column of
-    a least member starts with a negative entry: none is zero, so none is
+    sign of one row or one column is a symmetry, so the first nonzero entry
+    of every row and column of a least member is negative: none is
     sign-normalized.  That cheap filter runs before the full least-member
     test against the precomputed orbit.
     Nothing is remembered between matrices, so memory stays constant.

@@ -45,12 +45,10 @@ def h1_presentation(x: GluedManifold) -> IntMatrix:
         col_top = incl_w.column(j)
         col_bot = tuple(-v for v in bottom.column(j))
         columns.append(col_top + col_bot)
-    for k, factor in enumerate(h1_w.torsion):
-        row = h1_w.free_rank + k
-        columns.append(tuple(factor if i == row else 0 for i in range(gens)))
-    for k, factor in enumerate(h1_wp.torsion):
-        row = rows_w + h1_wp.free_rank + k
-        columns.append(tuple(factor if i == row else 0 for i in range(gens)))
+    for first_row, h1 in ((0, h1_w), (rows_w, h1_wp)):
+        for k, factor in enumerate(h1.torsion):
+            row = first_row + h1.free_rank + k
+            columns.append(tuple(factor if i == row else 0 for i in range(gens)))
     return IntMatrix.from_columns(columns)
 
 

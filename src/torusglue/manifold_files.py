@@ -47,19 +47,34 @@ class ManifoldFileError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
+def _expect(obj: Any, typ: type, path: str, what: str) -> Any:
+    if not isinstance(obj, typ) or isinstance(obj, bool) and typ is int:
+        raise ManifoldFileError(path, f"expected {what}, got {type(obj).__name__}")
+    return obj
+
+
+def _version(obj: Any) -> str:
+    version = _expect(obj, str, "version", "a version string")
+    if version != FORMAT_VERSION:
+        raise ManifoldFileError("version", f"unsupported version {version!r}; expected {FORMAT_VERSION!r}")
+    return version
+
+
 @dataclass(frozen=True, eq=False)
 class ManifoldFile:
+    """A parsed manifold description; one that would serialize to text the
+    parser rejects fails here, naming the field of the file."""
+
     version: str
     pieces: tuple[Piece, Piece]
     gluing: GluingMap
     orientation_note: str = ""
     metadata: dict[str, Any] = field(default_factory=dict)
 
-
-def _expect(obj: Any, typ: type, path: str, what: str) -> Any:
-    if not isinstance(obj, typ) or isinstance(obj, bool) and typ is int:
-        raise ManifoldFileError(path, f"expected {what}, got {type(obj).__name__}")
-    return obj
+    def __post_init__(self) -> None:
+        _version(self.version)
+        _expect(self.orientation_note, str, "gluing.orientation_note", "a string")
+        _expect(self.metadata, dict, "metadata", "an object")
 
 
 def _int_rows(obj: Any, path: str) -> IntMatrix:
@@ -135,30 +150,32 @@ def parse_manifold_file(text: str) -> ManifoldFile:
         # past the interpreter's recursion limit
         raise ManifoldFileError("(document)", f"unreadable JSON: {exc}") from exc
     doc = _expect(doc, dict, "(document)", "a JSON object")
-    version = _expect(doc.get("version"), str, "version", "a version string")
-    if version != FORMAT_VERSION:
-        raise ManifoldFileError("version", f"unsupported version {version!r}; expected {FORMAT_VERSION!r}")
+    version = _version(doc.get("version"))
     pieces_obj = _expect(doc.get("pieces"), list, "pieces", "a list of two pieces")
     if len(pieces_obj) != 2:
         raise ManifoldFileError("pieces", f"expected exactly two pieces, got {len(pieces_obj)}")
     pieces = tuple(_piece_from_obj(p, f"pieces[{i}]") for i, p in enumerate(pieces_obj))
     gluing_obj = _expect(doc.get("gluing"), dict, "gluing", "an object")
     matrix = _int_rows(gluing_obj.get("matrix"), "gluing.matrix")
-    if matrix.rows != 3:
-        raise ManifoldFileError("gluing.matrix", f"expected 3 rows, got {matrix.rows}")
     try:
         gluing = GluingMap(matrix)
     except NotUnimodular as exc:
         raise ManifoldFileError("gluing.matrix", str(exc)) from exc
-    note = _expect(gluing_obj.get("orientation_note", ""), str, "gluing.orientation_note", "a string")
-    metadata = _expect(doc.get("metadata", {}), dict, "metadata", "an object")
     return ManifoldFile(
         version=version,
         pieces=pieces,
         gluing=gluing,
-        orientation_note=note,
-        metadata=metadata,
+        orientation_note=gluing_obj.get("orientation_note", ""),
+        metadata=doc.get("metadata", {}),
     )
+
+
+def matrix_to_obj(m: IntMatrix) -> list[list[int]]:
+    return [list(r) for r in m.to_rows()]
+
+
+def h1_to_obj(h1: AbelianGroup) -> dict[str, Any]:
+    return {"free_rank": h1.free_rank, "torsion": list(h1.torsion)}
 
 
 def piece_to_obj(p: Piece) -> dict[str, Any]:
@@ -168,12 +185,8 @@ def piece_to_obj(p: Piece) -> dict[str, Any]:
         "monodromy_label": p.monodromy_label,
         "framing": list(p.framing),
         "lambda_index": p.lambda_index,
-        "h1": None
-        if p.h1 is None
-        else {"free_rank": p.h1.free_rank, "torsion": list(p.h1.torsion)},
-        "inclusion": None
-        if p.inclusion is None
-        else [list(r) for r in p.inclusion.to_rows()],
+        "h1": None if p.h1 is None else h1_to_obj(p.h1),
+        "inclusion": None if p.inclusion is None else matrix_to_obj(p.inclusion),
     }
 
 
@@ -183,7 +196,7 @@ def serialize_manifold_file(mf: ManifoldFile) -> str:
         "version": mf.version,
         "pieces": [piece_to_obj(p) for p in mf.pieces],
         "gluing": {
-            "matrix": [list(r) for r in mf.gluing.m.to_rows()],
+            "matrix": matrix_to_obj(mf.gluing.m),
             "orientation_note": mf.orientation_note,
         },
         "metadata": mf.metadata,

@@ -25,6 +25,7 @@ must be declared.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .gluing import FibrationResult, GluedManifold, GluingMap, find_fibration, glue
@@ -49,17 +50,16 @@ class LensSpace:
     p: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", operator.index(self.q))
+        object.__setattr__(self, "p", operator.index(self.p))
         if self.q < 0:
             raise ValueError("normalized q is nonnegative")
         if self.q == 0 and self.p != 1:
             raise ValueError("q = 0 is stored as L(0, 1)")
-        if self.q == 1 and self.p != 0:
-            raise ValueError("q = 1 is stored as L(1, 0)")
-        if self.q >= 2:
-            if not 0 <= self.p < self.q:
-                raise ValueError(f"p = {self.p} not reduced mod q = {self.q}")
-            if math.gcd(self.p, self.q) != 1:
-                raise NotCoprime(f"gcd({self.p}, {self.q}) != 1")
+        if self.q >= 1 and not 0 <= self.p < self.q:
+            raise ValueError(f"p = {self.p} not reduced mod q = {self.q}")
+        if math.gcd(self.p, self.q) != 1:
+            raise NotCoprime(f"gcd({self.p}, {self.q}) != 1")
 
     def __str__(self) -> str:
         return f"L({self.q},{self.p})"
@@ -71,21 +71,23 @@ def lens_normalize(q: int, p: int) -> LensSpace:
         raise NotCoprime(f"gcd({p}, {q}) = {math.gcd(p, q)} != 1")
     q = abs(q)
     if q == 0:
-        return LensSpace(0, 1)
-    if q == 1:
-        return LensSpace(1, 0)
+        return LensSpace(0, 1)  # gcd(p, 0) = 1 makes p = +-1
     return LensSpace(q, p % q)
 
 
+def lens_class(lens: LensSpace) -> LensSpace:
+    """The normal form of a lens space up to unoriented equivalence: L(q, p)
+    is equivalent to L(q, p') exactly when p' = +-p^{+-1} mod q, and the
+    class member is the least such p'."""
+    if lens.q <= 1:
+        return lens
+    inv = pow(lens.p, -1, lens.q)
+    return LensSpace(lens.q, min(lens.p, (-lens.p) % lens.q, inv, (-inv) % lens.q))
+
+
 def lens_equivalent(a: LensSpace, b: LensSpace) -> bool:
-    """Unoriented lens-space equivalence: equal q and p' = +-p^{+-1} mod q."""
-    if a.q != b.q:
-        return False
-    if a.q <= 1:
-        return True
-    q = a.q
-    inv = pow(a.p, -1, q)
-    return b.p % q in {a.p % q, (-a.p) % q, inv, (-inv) % q}
+    """Unoriented lens-space equivalence: equal normal forms."""
+    return lens_class(a) == lens_class(b)
 
 
 @dataclass(frozen=True)
@@ -105,21 +107,17 @@ class SurgerySpec:
     completion: IntMatrix
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", operator.index(self.p))
+        object.__setattr__(self, "q", operator.index(self.q))
         if math.gcd(self.p, self.q) != 1:
             raise NotCoprime(f"gcd({self.p}, {self.q}) != 1")
-        if self.completion.rows != 3 or self.completion.cols != 3:
-            raise ValueError("completion must be 3x3")
+        GluingMap(self.completion)  # raises NotUnimodular unless 3x3 with det +-1
         if self.completion.column(0) != (self.q, self.p, 0):
             raise ValueError(
                 f"first completion column {self.completion.column(0)} != {(self.q, self.p, 0)}"
             )
         if self.completion.column(2) != (0, 0, 1):
             raise ValueError("third completion column must be (0, 0, 1)")
-        # with columns 0 and 2 fixed, the determinant is the top-left 2x2 minor
-        x, y, _ = self.completion.column(1)
-        det = self.q * y - self.p * x
-        if abs(det) != 1:
-            raise ValueError(f"completion has determinant {det}")
 
     @classmethod
     def from_slope(cls, p: int, q: int, seed: int = 0) -> "SurgerySpec":

@@ -42,11 +42,10 @@ def is_sign_normalized(v: Sequence[int]) -> bool:
 
 def sign_normalize(v: Sequence[int]) -> Vec:
     """Flip signs so the first nonzero entry is positive."""
-    for x in v:
-        if x > 0:
-            return tuple(v)
-        if x < 0:
-            return tuple(-y for y in v)
+    if is_sign_normalized(v):
+        return tuple(v)
+    if any(v):
+        return tuple(-y for y in v)
     raise ValueError("zero vector has no sign normalization")
 
 

@@ -13,8 +13,9 @@ import itertools
 
 import pytest
 
-from torusglue.enumeration import enumerate_gluings
-from torusglue.pieces import torus_times_disk
+from torusglue.enumeration import enumerate_gluings, pieces_for_kinds
+from torusglue.pieces import PieceKind, sample_piece, torus_times_disk
+from torusglue.surgery import SURGERY_DISK_PAIR
 
 LAMBDA_PAIRS = list(itertools.product((1, 2, 3), repeat=2))
 
@@ -97,3 +98,21 @@ def test_same_sequence_as_reference_scan_at_1(left_index, right_index):
 def test_sequence_digest_at_2(left_index, right_index):
     sequence = _generated_entries(2, left_index, right_index)
     assert _digest(sequence) == DIGESTS_AT_2[left_index, right_index]
+
+
+def test_least_members_lead_every_row_and_column_with_a_negative_entry():
+    # the first nonzero entry is negative; the first entry itself may be 0
+    starts_with_zero = 0
+    for x in enumerate_gluings(1, *SURGERY_DISK_PAIR):
+        lines = x.f.m.to_rows() + x.f.m.transpose().to_rows()
+        assert all(next(v for v in line if v) < 0 for line in lines)
+        starts_with_zero += any(line[0] == 0 for line in lines)
+    assert starts_with_zero == 55
+
+
+def test_pieces_for_kinds():
+    disk = PieceKind.TORUS_TIMES_DISK
+    assert pieces_for_kinds(disk, disk) is SURGERY_DISK_PAIR
+    for k1, k2 in itertools.product(PieceKind, repeat=2):
+        if (k1, k2) != (disk, disk):
+            assert pieces_for_kinds(k1, k2) == (sample_piece(k1), sample_piece(k2))

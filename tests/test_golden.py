@@ -17,10 +17,9 @@ import math
 from pathlib import Path
 
 from torusglue.cli import main
-from torusglue.enumeration import enumerate_gluings
+from torusglue.enumeration import enumerate_gluings, pieces_for_kinds
 from torusglue.gluing import find_fibration
-from torusglue.pieces import PieceKind, sample_piece
-from torusglue.surgery import SURGERY_DISK_PAIR
+from torusglue.pieces import PieceKind
 
 README_EXAMPLE = Path(__file__).parent / "data" / "readme_example.json"
 # the README document with h1/inclusion declared on its second piece
@@ -93,11 +92,7 @@ def _certificate_lines():
     """phi, torus, parallel_case and both (gamma, lambda, alpha) triples of
     every N = 1 gluing, with the pieces `enumerate` uses for each pair."""
     for k1, k2 in itertools.product(PieceKind, repeat=2):
-        if k1 is k2 is PieceKind.TORUS_TIMES_DISK:
-            w, w_prime = SURGERY_DISK_PAIR
-        else:
-            w, w_prime = sample_piece(k1), sample_piece(k2)
-        for x in enumerate_gluings(1, w, w_prime):
+        for x in enumerate_gluings(1, *pieces_for_kinds(k1, k2)):
             r = find_fibration(x)
             certs = [(c.gamma.v, c.lam.v, c.alpha.v) for c in (r.cert_w, r.cert_w_prime)]
             yield f"{r.phi.phi} {r.torus.n} {r.parallel_case} {certs}\n"

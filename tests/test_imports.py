@@ -1,14 +1,16 @@
-"""Static checks on the package's names: every name a module imports is
-used there, every module-level private (not dunder) name is used in its own
-module, and every name the package root re-exports is defined in the module
-it is imported from, so a deletion cannot leave a stale import or helper."""
+"""Static checks on the package's names: every name a module or an
+experiment script imports is used there, every module-level private (not
+dunder) name is used in its own module, and every name the package root
+re-exports is defined in the module it is imported from, so a deletion
+cannot leave a stale import or helper."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "torusglue"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "torusglue"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -38,7 +40,10 @@ def _top_level_definitions(tree: ast.Module) -> set[str]:
 
 @pytest.mark.parametrize(
     "path",
-    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],
+    [
+        *(p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"),
+        *sorted((ROOT / "scripts").glob("*.py")),
+    ],
     ids=lambda p: p.name,
 )
 def test_every_imported_name_is_used(path):

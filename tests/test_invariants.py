@@ -73,6 +73,11 @@ def test_presentation_shape():
     # 4 generators; 3 boundary columns + 1 torsion relator
     assert pres.rows == 4
     assert pres.cols == 4
+    # torsion on both sides: each relator sits on its own piece's torsion
+    # generator, the first piece's first
+    pres = h1_presentation(glue(w, w, GluingMap(IntMatrix.identity(3))))
+    assert pres.rows == 4
+    assert [pres.column(j) for j in (3, 4)] == [(0, 2, 0, 0), (0, 0, 0, 2)]
 
 
 def test_missing_h1_data():

@@ -68,6 +68,34 @@ def test_every_library_piece_parses_back_equal(piece):
     assert parse_manifold_file(serialize_manifold_file(mf)).pieces == (piece, piece)
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"version": "2"}, "version"),
+        ({"version": 1}, "version"),
+        ({"orientation_note": 5}, "gluing.orientation_note"),
+        ({"metadata": [1]}, "metadata"),
+    ],
+    ids=["version-2", "version-int", "note-int", "metadata-list"],
+)
+def test_file_the_parser_would_reject_is_rejected_at_construction(overrides, field):
+    fields = {
+        "version": "1",
+        "pieces": (torus_times_disk(), torus_times_disk()),
+        "gluing": GluingMap(IntMatrix.identity(3)),
+    }
+    with pytest.raises(ManifoldFileError) as err:
+        ManifoldFile(**{**fields, **overrides})
+    assert err.value.field_path == field
+
+
+def test_gluing_row_count_is_reported_by_the_gluing_map():
+    doc = json.loads(example_file())
+    doc["gluing"]["matrix"] = [[1, 0, 0], [0, 1, 0]]
+    with pytest.raises(ManifoldFileError, match=r"^gluing\.matrix: gluing matrix must be 3x3$"):
+        parse_manifold_file(json.dumps(doc))
+
+
 def test_canonical_round_trip_is_byte_identical():
     mf = ManifoldFile(
         version="1",

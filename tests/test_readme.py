@@ -43,7 +43,7 @@ def test_library_example_prints_what_readme_says(capsys):
     ]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
-    assert len(expected) == 4
+    assert len(expected) == 5
 
 
 def test_cli_examples_print_what_readme_says(capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from torusglue import surgery
 from torusglue.gluing import GluingMap, find_fibration, glue
 from torusglue.invariants import mayer_vietoris_h1
-from torusglue.lattice import AbelianGroup, IntMatrix, dot, solve
+from torusglue.lattice import AbelianGroup, IntMatrix, NotUnimodular, dot, solve
 from torusglue.pieces import (
     ExtensionCertificate,
     PieceKind,
@@ -23,6 +23,7 @@ from torusglue.surgery import (
     SurgerySpec,
     classify_double_disk_gluing,
     generalized_fs_surgery,
+    lens_class,
     lens_equivalent,
     lens_normalize,
     obstruction_check,
@@ -65,7 +66,23 @@ def test_lens_space_validation():
         LensSpace(0, 0)
     with pytest.raises(NotCoprime):
         LensSpace(4, 2)
+    with pytest.raises(ValueError, match=r"^p = 5 not reduced mod q = 1$"):
+        LensSpace(1, 5)
     assert str(LensSpace(3, 2)) == "L(3,2)"
+
+
+def test_lens_parameters_pass_the_integer_gate():
+    with pytest.raises(TypeError):
+        LensSpace(0, 1.0)
+    with pytest.raises(TypeError):
+        LensSpace(3.0, 2)
+    lens = LensSpace(True, 0)
+    assert str(lens) == "L(1,0)"
+    assert type(lens.q) is int and type(lens.p) is int
+    spec = SurgerySpec.from_slope(True, 0)
+    assert type(spec.p) is int and spec.p == 1
+    with pytest.raises(TypeError):
+        SurgerySpec.from_slope(2.0, 3)
 
 
 def congruence_oracle(q, p, p2):
@@ -96,6 +113,9 @@ def test_lens_equivalent_examples():
     assert not lens_equivalent(LensSpace(7, 1), LensSpace(7, 2))
     assert lens_equivalent(LensSpace(5, 1), LensSpace(5, 1))
     assert not lens_equivalent(LensSpace(5, 1), LensSpace(7, 1))
+    assert lens_class(LensSpace(7, 4)) == lens_class(LensSpace(7, 3)) == LensSpace(7, 2)
+    assert lens_class(LensSpace(7, 6)) == LensSpace(7, 1)
+    assert lens_class(LensSpace(0, 1)) == LensSpace(0, 1)
 
 
 def test_lens_equivalent_matches_oracle_and_is_equivalence():
@@ -103,6 +123,9 @@ def test_lens_equivalent_matches_oracle_and_is_equivalence():
         spaces = all_normalized(q)
         for a in spaces:
             assert lens_equivalent(a, a)
+            cls = lens_class(a)
+            assert congruence_oracle(q, a.p, cls.p)
+            assert cls.p == min(b.p for b in spaces if congruence_oracle(q, a.p, b.p))
             for b in spaces:
                 assert lens_equivalent(a, b) == congruence_oracle(q, a.p, b.p)
                 assert lens_equivalent(a, b) == lens_equivalent(b, a)
@@ -125,6 +148,15 @@ def test_surgery_spec_validation():
             p=2,
             q=3,
             completion=IntMatrix.from_columns([(2, 3, 0), (1, 1, 0), (0, 0, 1)]),
+        )
+    # shape and determinant are the gluing map's checks, messages included
+    with pytest.raises(NotUnimodular, match=r"^gluing matrix must be 3x3$"):
+        SurgerySpec(p=2, q=3, completion=IntMatrix.from_columns([(3, 2), (1, 1)]))
+    with pytest.raises(NotUnimodular, match=r"^gluing matrix has determinant 2$"):
+        SurgerySpec(
+            p=2,
+            q=3,
+            completion=IntMatrix.from_columns([(3, 2, 0), (2, 2, 0), (0, 0, 1)]),
         )
     spec = SurgerySpec.from_slope(2, 3)
     assert spec.completion.column(0) == (3, 2, 0)

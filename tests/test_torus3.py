@@ -56,6 +56,10 @@ def test_class_normalization():
         CurveClass.of((0, 0, 0))
     with pytest.raises(ValueError):
         CurveClass((-1, 0, 0))  # direct construction requires normalized input
+    assert sign_normalize((0, -2, 4)) == (0, 2, -4)
+    assert sign_normalize([0, 0, 3]) == (0, 0, 3)
+    with pytest.raises(ValueError, match="zero vector"):
+        sign_normalize((0, 0, 0))
 
 
 def test_torus_through_examples():
