@@ -15,7 +15,7 @@ import math
 import sys
 
 from torusglue.enumeration import check
-from torusglue.gluing import GluingMap, glue
+from torusglue.gluing import glue
 from torusglue.surgery import SURGERY_DISK_PAIR, SurgerySpec, lens_class
 
 
@@ -31,7 +31,7 @@ def main() -> int:
             if math.gcd(p, q) != 1:
                 continue
             spec = SurgerySpec.from_slope(p, q)
-            verdict = check(glue(*SURGERY_DISK_PAIR, GluingMap(spec.completion)))
+            verdict = check(glue(*SURGERY_DISK_PAIR, spec.gluing))
             rows.append((p, q, verdict.lens, verdict.h1, verdict.consistent))
 
     print(f"{'slope':>10}  {'result':>8}  {'H1':>10}  check")

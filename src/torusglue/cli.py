@@ -32,7 +32,7 @@ from .enumeration import (
     enumerate_gluings,
     pieces_for_kinds,
 )
-from .gluing import GluedManifold, GluingMap, find_fibration, glue
+from .gluing import GluedManifold, find_fibration, glue
 from .invariants import MissingH1Data, euler_characteristic_glued, mayer_vietoris_h1
 from .lattice import IntMatrix
 from .manifold_files import ManifoldFileError, h1_to_obj, matrix_to_obj, parse_manifold_file
@@ -119,7 +119,7 @@ def cmd_surgery(args: argparse.Namespace) -> int:
         spec = SurgerySpec.from_slope(args.p, args.q, seed=args.completion_seed)
     except NotCoprime as exc:
         raise _UsageError(str(exc))
-    x = glue(*SURGERY_DISK_PAIR, GluingMap(spec.completion))
+    x = glue(*SURGERY_DISK_PAIR, spec.gluing)
     v = check(x)
     gluing = {"matrix": matrix_to_obj(x.f.m), "orientation_note": f"det={x.f.m.det():+d}"}
     verdict = "CONSISTENT" if v.consistent else "INCONSISTENT"

@@ -18,8 +18,9 @@ from .surgery import SURGERY_DISK_PAIR, LensSpace, classify_double_disk_gluing
 from .torus3 import is_sign_normalized
 
 # only orbit representatives are classified: 62 rows at N = 1, 1,077 at
-# N = 2, but 10,055 at N = 3 (a 7 s disk-pair sweep on one Xeon core with
-# Python 3.11), so stay desk-scale
+# N = 2, but 10,055 at N = 3 (a 4.6 s disk-pair sweep of enumerate_gluings
+# plus check, median of 3 runs with Python 3.11.7 on a 2-CPU machine whose
+# perfbench calibration loop took 0.12 s), so stay desk-scale
 MAX_ENUMERATION_ENTRY = 2
 
 
@@ -141,27 +142,47 @@ def enumerate_gluings(
     with r3 . c = +-1 (that dot product is the determinant).  Flipping the
     sign of one row or one column is a symmetry, so the first nonzero entry
     of every row and column of a least member is negative: none is
-    sign-normalized.  That cheap filter runs before the full least-member
-    test against the precomputed orbit.
+    sign-normalized.  Exact prefilters reject a candidate as soon as the
+    rows chosen so far show a smaller orbit member:
+    - r1 is its own least image under the column symmetries.  That group
+      holds every sign vector, so its images of r1 are closed under
+      negation and cover a sign flip of r1 as well; in particular r1 has no
+      positive entry.
+    - r2 is <= 0 wherever r1 is 0, since r2 then leads that column.
+    - When lambda of the first piece is not its first axis, a row symmetry
+      swaps r1 with the other row off that axis, so that row's least image
+      is not below r1.
+    Each rejects only matrices that the full least-member test against the
+    precomputed orbit, which runs last, rejects too; the output is the same.
     Nothing is remembered between matrices, so memory stays constant.
     """
-    orbit = _orbit_tree(
-        _signed_permutations_fixing(w.lambda_index - 1),
-        _signed_permutations_fixing(w_prime.lambda_index - 1),
-    )
+    axis = w.lambda_index - 1
+    right = _signed_permutations_fixing(w_prime.lambda_index - 1)
+    orbit = _orbit_tree(_signed_permutations_fixing(axis), right)
     rng = range(-max_entry, max_entry + 1)
     rows = [
         r for r in itertools.product(rng, repeat=3) if is_primitive(r) and not is_sign_normalized(r)
     ]
-    for r1, r2 in itertools.product(rows, repeat=2):
-        c = cross(r1, r2)
-        if not is_primitive(c):
+    least = {
+        r: min(tuple(s * r[p] for p, s in zip(perm, signs)) for perm, signs in right)
+        for r in rows
+    }
+    swap = 3 - axis if axis else None  # the row a row symmetry swaps with r1
+    for r1 in rows:
+        if least[r1] != r1:
             continue
-        for r3 in _rows_completing(c, rng):
-            entries = (*r1, *r2, *r3)
-            if (
-                not is_sign_normalized(r3)
-                and not any(map(is_sign_normalized, zip(r1, r2, r3)))
-                and _is_orbit_least(entries, orbit)
-            ):
-                yield glue(w, w_prime, GluingMap(IntMatrix(3, 3, entries)))
+        zeros = [j for j in range(3) if r1[j] == 0]
+        for r2 in rows:
+            if any(r2[j] > 0 for j in zeros) or (swap == 1 and least[r2] < r1):
+                continue
+            c = cross(r1, r2)
+            if not is_primitive(c):
+                continue
+            for r3 in _rows_completing(c, rng):
+                if is_sign_normalized(r3) or (swap == 2 and least[r3] < r1):
+                    continue
+                entries = (*r1, *r2, *r3)
+                if not any(map(is_sign_normalized, zip(r1, r2, r3))) and _is_orbit_least(
+                    entries, orbit
+                ):
+                    yield glue(w, w_prime, GluingMap(IntMatrix(3, 3, entries)))

@@ -77,8 +77,9 @@ def glue(w: Piece, w_prime: Piece, f: GluingMap) -> GluedManifold:
 
 
 def transported_lambda(x: GluedManifold) -> CurveClass:
-    """The second piece's lambda, pushed into the first piece's coordinates."""
-    return CurveClass.of(x.f.m.apply(boundary_lambda(x.w_prime).v))
+    """The second piece's lambda, pushed into the first piece's coordinates:
+    lambda is a basis vector, so its image is that column of f."""
+    return CurveClass.of(x.f.m.column(x.w_prime.lambda_index - 1))
 
 
 def find_fibration(x: GluedManifold) -> FibrationResult:
@@ -97,8 +98,10 @@ def find_fibration(x: GluedManifold) -> FibrationResult:
         parallel = False
     fib = fibration_from_torus(torus)
     cert_w = extension_certificate(x.w, fib)
-    # pull the covector back to the second piece's coordinates
-    phi_wp = x.f.m.transpose().apply(fib.phi)
+    # pull the covector back to the second piece's coordinates: f^T phi,
+    # whose entries are phi paired with the columns of f
+    m = x.f.m
+    phi_wp = tuple(dot(fib.phi, m.column(j)) for j in range(3))
     fib_wp = fibration_from_torus(TorusClass.of(phi_wp))
     cert_wp = extension_certificate(x.w_prime, fib_wp)
     return FibrationResult(

@@ -159,7 +159,8 @@ class IntMatrix:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} vs {self.cols} columns")
-        return tuple(sum(map(mul, r, v)) for r in self.to_rows())
+        e, c = self.entries, self.cols
+        return tuple(sum(map(mul, e[k * c : (k + 1) * c], v)) for k in range(self.rows))
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination; exact."""

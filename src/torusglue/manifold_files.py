@@ -6,7 +6,7 @@ Schema (version "1"):
       "version": "1",
       "pieces": [<piece>, <piece>],
       "gluing": {"matrix": [[..3 ints..] x3], "orientation_note": "<text>"},
-      "metadata": {<free-form labels>}
+      "metadata": {<free-form labels: string keys, finite numbers>}
     }
 
     <piece> = {
@@ -73,8 +73,24 @@ class ManifoldFile:
 
     def __post_init__(self) -> None:
         _version(self.version)
+        pieces = self.pieces
+        if not (
+            isinstance(pieces, tuple)
+            and len(pieces) == 2
+            and all(isinstance(p, Piece) for p in pieces)
+        ):
+            raise ManifoldFileError("pieces", f"expected a pair of Piece, got {pieces!r:.80}")
+        _expect(self.gluing, GluingMap, "gluing", "a GluingMap")
         _expect(self.orientation_note, str, "gluing.orientation_note", "a string")
         _expect(self.metadata, dict, "metadata", "an object")
+        # plain JSON reads back equal to itself: a non-string key comes back
+        # a string, a tuple a list, and a set or a NaN does not encode
+        try:
+            plain = json.loads(json.dumps(self.metadata, allow_nan=False)) == self.metadata
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise ManifoldFileError("metadata", f"not plain JSON: {exc}") from exc
+        if not plain:
+            raise ManifoldFileError("metadata", "not plain JSON: a non-string key or a tuple")
 
 
 def _int_rows(obj: Any, path: str) -> IntMatrix:

@@ -207,7 +207,7 @@ def extension_certificate(p: Piece, fib: FibrationOfT3) -> ExtensionCertificate:
             f"covector {fib.phi} does not kill lambda = {lam.v} of the {p.kind.value} piece"
         )
     b1, b2 = fib.fiber_basis
-    coords = solve(IntMatrix.from_columns([b1, b2]), lam.v)
+    coords = solve(IntMatrix(3, 2, (b1[0], b2[0], b1[1], b2[1], b1[2], b2[2])), lam.v)
     if coords is None:
         raise AssertionError(f"lambda = {lam.v} is not in the fiber torus spanned by {b1}, {b2}")
     x, y = coords

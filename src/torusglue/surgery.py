@@ -26,9 +26,16 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .gluing import FibrationResult, GluedManifold, GluingMap, find_fibration, glue
+from .gluing import (
+    FibrationResult,
+    GluedManifold,
+    GluingMap,
+    find_fibration,
+    glue,
+    transported_lambda,
+)
 from .lattice import IntMatrix, cross, dot, xgcd
 from .pieces import Piece, PieceKind, boundary_lambda, torus_times_disk
 
@@ -99,19 +106,22 @@ class SurgerySpec:
     to q*mu + p*lambda in the complement framing (mu, lambda, s).  The third
     column is (0, 0, 1): the leftover circle of the new piece is the product
     circle s.  The second column only has to make the matrix unimodular; the
-    classification does not depend on it.
+    classification does not depend on it.  gluing is the completion as the
+    GluingMap that validated it, the one a surgery glues by.
     """
 
     p: int
     q: int
     completion: IntMatrix
+    gluing: GluingMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", operator.index(self.p))
         object.__setattr__(self, "q", operator.index(self.q))
         if math.gcd(self.p, self.q) != 1:
             raise NotCoprime(f"gcd({self.p}, {self.q}) != 1")
-        GluingMap(self.completion)  # raises NotUnimodular unless 3x3 with det +-1
+        # raises NotUnimodular unless 3x3 with det +-1
+        object.__setattr__(self, "gluing", GluingMap(self.completion))
         if self.completion.column(0) != (self.q, self.p, 0):
             raise ValueError(
                 f"first completion column {self.completion.column(0)} != {(self.q, self.p, 0)}"
@@ -149,7 +159,7 @@ def unknot_torus_surgery(spec: SurgerySpec) -> tuple[GluedManifold, LensSpace]:
     The lens parameters are computed from the gluing (via the fiber's
     genus-one splitting), not copied from the slope.
     """
-    x = glue(*SURGERY_DISK_PAIR, GluingMap(spec.completion))
+    x = glue(*SURGERY_DISK_PAIR, spec.gluing)
     return x, classify_double_disk_gluing(x)
 
 
@@ -170,7 +180,7 @@ def classify_double_disk_gluing(x: GluedManifold) -> LensSpace:
     result = find_fibration(x)
     gamma = result.cert_w.gamma.v
     lam = boundary_lambda(x.w).v
-    meridian = x.f.m.apply(boundary_lambda(x.w_prime).v)
+    meridian = x.f.m.column(x.w_prime.lambda_index - 1)  # f(lambda')
     # Cramer's rule: c = gamma x lambda is normal to the fiber torus, and
     # meridian = q*gamma + p*lambda gives meridian x lambda = q*c and
     # gamma x meridian = p*c; c != 0 because the certificate is a basis
@@ -204,13 +214,13 @@ def generalized_fs_surgery(
         PieceKind.TORUS_TIMES_DISK,
     ):
         raise ValueError("knot piece must be S^1 x (knot exterior) or T^2 x D^2")
-    sent = f.m.apply(boundary_lambda(knot_piece).v)
-    target = boundary_lambda(ambient_complement)
-    if sent not in (target.v, tuple(-t for t in target.v)):
-        raise MeridianConditionViolated(
-            f"gluing sends lambda to {sent}, not to {target.v}"
-        )
     x = glue(ambient_complement, knot_piece, f)
+    sent = transported_lambda(x)
+    target = boundary_lambda(ambient_complement)
+    if sent != target:
+        raise MeridianConditionViolated(
+            f"gluing sends lambda to {sent.v}, not to {target.v}"
+        )
     return x, find_fibration(x)
 
 

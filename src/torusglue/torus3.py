@@ -148,7 +148,7 @@ def canonical_torus_containing(a: CurveClass) -> TorusClass:
 
 def fibration_from_torus(t: TorusClass) -> FibrationOfT3:
     """The fibration of T^3 whose fibers are tori of the given class."""
-    b1, b2 = kernel_basis(IntMatrix.from_rows([t.n]))
+    b1, b2 = kernel_basis(IntMatrix(1, 3, t.n))
     return FibrationOfT3(phi=t.n, fiber_basis=(b1, b2))
 
 

@@ -32,6 +32,20 @@ DIGESTS_AT_2 = {
     (3, 3): "931d5463501453e9eabad712e6b989b8def78d7336f826716205cf69994a8d3d",
 }
 
+# SHA-256 of the N = 3 entry sequences (10,055 matrices each), recorded with
+# the generator before its first-row and second-row prefilters existed.
+DIGESTS_AT_3 = {
+    (1, 1): "ec328a019ad300fec9f4e33dd49600e0e208a3e1679bd96c6c89e879d1e27ee0",
+    (1, 2): "40c32f503f0b826ea0ef0068a13a06e40caeb02f8fbec2fe3412b4341e8ae961",
+    (1, 3): "7dbb5934ce3d54df1389978aaf4d7687e00f2d03e098d8588e98098db56f92b8",
+    (2, 1): "e9d1fb82fc818bea4d44143fcd3486e3a6c107478d4b7ac97c761718d5a7782c",
+    (2, 2): "8fa8adf6ec7f4f2c57480e74e40c032edabbfce38a913b2773c73955a6b98cae",
+    (2, 3): "b0b1717d1b6ae67eb560624fa295bf0be1701b8882cfe3779920564b9213f7c0",
+    (3, 1): "0baf6dbcd63dcfb0a5a8f0992db123abfae50633faa27666fb8ff1b24343eac1",
+    (3, 2): "42c25c97d83048960be65a40fbc1d53062e0939d4caaa85dcf2d356c2346e6db",
+    (3, 3): "301f1bed6f7c5a279aeeace14c710729c16cc30879027c351e00fb3dcfbf40dd",
+}
+
 
 def _reference_signed_permutations_fixing(index):
     others = [i for i in range(3) if i != index]
@@ -98,6 +112,12 @@ def test_same_sequence_as_reference_scan_at_1(left_index, right_index):
 def test_sequence_digest_at_2(left_index, right_index):
     sequence = _generated_entries(2, left_index, right_index)
     assert _digest(sequence) == DIGESTS_AT_2[left_index, right_index]
+
+
+@pytest.mark.parametrize("left_index,right_index", LAMBDA_PAIRS)
+def test_sequence_digest_at_3(left_index, right_index):
+    sequence = _generated_entries(3, left_index, right_index)
+    assert _digest(sequence) == DIGESTS_AT_3[left_index, right_index]
 
 
 def test_least_members_lead_every_row_and_column_with_a_negative_entry():

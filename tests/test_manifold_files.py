@@ -75,8 +75,22 @@ def test_every_library_piece_parses_back_equal(piece):
         ({"version": 1}, "version"),
         ({"orientation_note": 5}, "gluing.orientation_note"),
         ({"metadata": [1]}, "metadata"),
+        # serializing sorts keys: TypeError on comparing str with int
+        ({"metadata": {1: "a", "b": 2}}, "metadata"),
+        # alone, an int key would be written as "1" and read back a string
+        ({"metadata": {"a": [{1: "b"}]}}, "metadata"),
+        # TypeError: Object of type set is not JSON serializable
+        ({"metadata": {"a": {1, 2}}}, "metadata"),
+        ({"pieces": ("x", "y")}, "pieces"),
+        ({"pieces": (torus_times_disk(),)}, "pieces"),
+        ({"gluing": "z"}, "gluing"),
+        ({"gluing": IntMatrix.identity(3)}, "gluing"),
     ],
-    ids=["version-2", "version-int", "note-int", "metadata-list"],
+    ids=[
+        "version-2", "version-int", "note-int", "metadata-list",
+        "metadata-mixed-keys", "metadata-nested-int-key", "metadata-set",
+        "pieces-strings", "pieces-one", "gluing-string", "gluing-matrix",
+    ],
 )
 def test_file_the_parser_would_reject_is_rejected_at_construction(overrides, field):
     fields = {
@@ -102,7 +116,7 @@ def test_canonical_round_trip_is_byte_identical():
         pieces=(torus_times_disk(), sample_piece(PieceKind.SURFACE_BUNDLE_OVER_TORUS)),
         gluing=GluingMap(IntMatrix.from_columns([(0, 1, 0), (0, 0, 1), (1, 0, 0)])),
         orientation_note="",
-        metadata={"name": "round trip"},
+        metadata={"name": "round trip", "nested": [1, 2.5, None, True, {"k": []}]},
     )
     text = serialize_manifold_file(mf)
     assert serialize_manifold_file(parse_manifold_file(text)) == text
@@ -132,6 +146,9 @@ def test_canonical_round_trip_is_byte_identical():
         (lambda d: d["gluing"].update(matrix=[[1, 0, 0], [0, 1, 0]]), "gluing.matrix"),
         (lambda d: d.update(gluing="nope"), "gluing"),
         (lambda d: d.update(metadata=7), "metadata"),
+        pytest.param(
+            lambda d: d.update(metadata={"x": float("nan")}), "metadata", id="metadata-nan"
+        ),
     ],
 )
 def test_parse_errors_name_the_field(mutate, field):

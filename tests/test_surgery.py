@@ -164,6 +164,18 @@ def test_surgery_spec_validation():
     assert abs(spec.completion.det()) == 1
 
 
+def test_surgery_spec_keeps_its_gluing_map_out_of_repr_and_equality():
+    spec = SurgerySpec.from_slope(2, 3)
+    assert spec.gluing == GluingMap(spec.completion)
+    assert repr(spec) == f"SurgerySpec(p=2, q=3, completion={spec.completion!r})"
+    twin = SurgerySpec(p=2, q=3, completion=spec.completion)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert twin.gluing is not spec.gluing
+    # the surgery glues by that very map, not a second one
+    x, _ = unknot_torus_surgery(spec)
+    assert x.f is spec.gluing
+
+
 def test_unknot_surgery_examples():
     _, lens = unknot_torus_surgery(SurgerySpec.from_slope(2, 3))
     assert lens == LensSpace(3, 2)
@@ -267,6 +279,28 @@ def test_generalized_fs_surgery_validation():
     bad = GluingMap(IntMatrix.identity(3))  # sends lambda' to t2, not lambda
     with pytest.raises(MeridianConditionViolated):
         generalized_fs_surgery(ambient, knot, bad)
+
+
+def test_generalized_fs_surgery_accepts_lambda_sent_to_minus_lambda():
+    ambient = sample_piece(PieceKind.SURFACE_BUNDLE_OVER_TORUS)
+    knot = sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT)
+    # lambda' = e2 goes to -e1 = -lambda, the same curve class as lambda
+    flipped = GluingMap(IntMatrix.from_columns([(0, 1, 0), (-1, 0, 0), (0, 0, 1)]))
+    x, result = generalized_fs_surgery(ambient, knot, flipped)
+    assert x.f is flipped
+    assert result.parallel_case
+
+
+def test_generalized_fs_surgery_rejects_lambda_sent_to_another_curve():
+    ambient = sample_piece(PieceKind.SURFACE_BUNDLE_OVER_TORUS)
+    knot = sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT)
+    # lambda' = e2 goes to (-1, -1, 0): primitive, but not +-lambda = +-e1
+    sheared = GluingMap(IntMatrix.from_columns([(0, 1, 0), (-1, -1, 0), (0, 0, 1)]))
+    with pytest.raises(
+        MeridianConditionViolated,
+        match=r"^gluing sends lambda to \(1, 1, 0\), not to \(1, 0, 0\)$",
+    ):
+        generalized_fs_surgery(ambient, knot, sheared)
 
 
 def test_generalized_fs_surgery_fibers():
