@@ -18,9 +18,10 @@ from .surgery import SURGERY_DISK_PAIR, LensSpace, classify_double_disk_gluing
 from .torus3 import is_sign_normalized
 
 # only orbit representatives are classified: 62 rows at N = 1, 1,077 at
-# N = 2, but 10,055 at N = 3 (a 4.6 s disk-pair sweep of enumerate_gluings
-# plus check, median of 3 runs with Python 3.11.7 on a 2-CPU machine whose
-# perfbench calibration loop took 0.12 s), so stay desk-scale
+# N = 2, but 10,055 at N = 3 (a 2.1 s disk-pair sweep of enumerate_gluings
+# plus check, 0.18 s of it in the generator, median of 3 runs with Python
+# 3.11.7 on a 2-CPU machine whose perfbench calibration loop took 0.07 s),
+# so stay desk-scale
 MAX_ENUMERATION_ENTRY = 2
 
 
@@ -66,34 +67,30 @@ def pieces_for_kinds(kind_w: PieceKind, kind_w_prime: PieceKind) -> tuple[Piece,
     return sample_piece(kind_w), sample_piece(kind_w_prime)
 
 
-def _signed_permutations_fixing(index: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(perm, signs) pairs for the 16 signed permutation matrices that fix
-    the given 0-based axis up to sign."""
-    others = [i for i in range(3) if i != index]
-    out = []
-    for swapped in (False, True):
-        perm = list(range(3))
-        if swapped:
-            perm[others[0]], perm[others[1]] = perm[others[1]], perm[others[0]]
-        for signs in itertools.product((1, -1), repeat=3):
-            out.append((tuple(perm), signs))
-    return out
+def _framing_swap(axis: int) -> tuple[int, ...]:
+    """The permutation of the 0-based axes that fixes axis and swaps the
+    other two; with every sign vector it generates a framing's symmetries."""
+    return tuple(3 - axis - i if i != axis else i for i in range(3))
 
 
-def _orbit_tree(left, right) -> dict:
-    """The orbit of a 3x3 entry tuple e under signed row permutations (left)
-    and signed column permutations (right), as a prefix tree of maps.
+def _orbit_tree(axis: int, axis_prime: int) -> dict:
+    """The orbit of a 3x3 entry tuple e under the framing symmetries of
+    both pieces (on rows for axis, on columns for axis_prime), as a prefix
+    tree of maps.
 
     Entry k of a member is sign * e[index] for the (index, sign) pair at
     depth k of its path; members that share their first k pairs share a
     path, so one comparison at a node covers all of them.
     """
+    identity = (0, 1, 2)
     tree: dict = {}
-    for perm_l, signs_l in left:
-        for perm_r, signs_r in right:
+    for perm_l, perm_r in itertools.product(
+        (identity, _framing_swap(axis)), (identity, _framing_swap(axis_prime))
+    ):
+        for signs in itertools.product((1, -1), repeat=6):  # row signs, then column signs
             node = tree
             for i, j in itertools.product(range(3), repeat=2):
-                pair = (3 * perm_l[i] + perm_r[j], signs_l[i] * signs_r[j])
+                pair = (3 * perm_l[i] + perm_r[j], signs[i] * signs[3 + j])
                 node = node.setdefault(pair, {})
     return tree
 
@@ -131,43 +128,41 @@ def enumerate_gluings(
     """All gluings of the two pieces by unimodular matrices with entries in
     [-max_entry, max_entry], one representative per symmetry orbit.
 
-    The symmetry quotients by signed permutations of each boundary framing
-    that fix the piece's lambda axis up to sign (changes of framing induced
-    by self-diffeomorphisms of the pieces, so orbit members give the same
-    manifold).  Representatives are the lexicographically least orbit
+    The symmetry of each boundary framing is the swap sigma of its two
+    non-lambda axes, or not, times every sign vector: the framing changes
+    induced by self-diffeomorphisms of the piece, so orbit members give the
+    same manifold.  Representatives are the lexicographically least orbit
     members, streamed in lexicographic order of their entries.
 
     Only unimodular matrices are generated, row by row: a primitive r1, an
     r2 whose cross product c = r1 x r2 is primitive, and every r3 in the box
-    with r3 . c = +-1 (that dot product is the determinant).  Flipping the
-    sign of one row or one column is a symmetry, so the first nonzero entry
-    of every row and column of a least member is negative: none is
-    sign-normalized.  Exact prefilters reject a candidate as soon as the
-    rows chosen so far show a smaller orbit member:
-    - r1 is its own least image under the column symmetries.  That group
-      holds every sign vector, so its images of r1 are closed under
-      negation and cover a sign flip of r1 as well; in particular r1 has no
-      positive entry.
+    with r3 . c = +-1 (that dot product is the determinant).  Exact
+    prefilters reject a candidate as soon as the rows chosen so far show a
+    smaller orbit member:
+    - No row is sign-normalized (first nonzero entry positive): flipping
+      its sign is a symmetry.
+    - r1 is its own least image under the column symmetries, which is
+      n = -|r1| entrywise or its sigma image, whichever is smaller; so r1
+      has no positive entry.
     - r2 is <= 0 wherever r1 is 0, since r2 then leads that column.
-    - When lambda of the first piece is not its first axis, a row symmetry
-      swaps r1 with the other row off that axis, so that row's least image
-      is not below r1.
+    - The row that the first piece's sigma swaps with r1, if any, has no
+      least image below r1.
     Each rejects only matrices that the full least-member test against the
     precomputed orbit, which runs last, rejects too; the output is the same.
     Nothing is remembered between matrices, so memory stays constant.
     """
-    axis = w.lambda_index - 1
-    right = _signed_permutations_fixing(w_prime.lambda_index - 1)
-    orbit = _orbit_tree(_signed_permutations_fixing(axis), right)
+    axis, axis_prime = w.lambda_index - 1, w_prime.lambda_index - 1
+    orbit = _orbit_tree(axis, axis_prime)
+    sigma = _framing_swap(axis_prime)
     rng = range(-max_entry, max_entry + 1)
     rows = [
         r for r in itertools.product(rng, repeat=3) if is_primitive(r) and not is_sign_normalized(r)
     ]
-    least = {
-        r: min(tuple(s * r[p] for p, s in zip(perm, signs)) for perm, signs in right)
-        for r in rows
-    }
-    swap = 3 - axis if axis else None  # the row a row symmetry swaps with r1
+    least = {}
+    for r in rows:
+        n = tuple(-abs(x) for x in r)
+        least[r] = min(n, tuple(n[p] for p in sigma))
+    swap = _framing_swap(axis)[0]  # the row the first piece's sigma swaps r1 with (0: none)
     for r1 in rows:
         if least[r1] != r1:
             continue
@@ -182,7 +177,5 @@ def enumerate_gluings(
                 if is_sign_normalized(r3) or (swap == 2 and least[r3] < r1):
                     continue
                 entries = (*r1, *r2, *r3)
-                if not any(map(is_sign_normalized, zip(r1, r2, r3))) and _is_orbit_least(
-                    entries, orbit
-                ):
+                if _is_orbit_least(entries, orbit):
                     yield glue(w, w_prime, GluingMap(IntMatrix(3, 3, entries)))

@@ -101,10 +101,7 @@ def _int_rows(obj: Any, path: str) -> IntMatrix:
         if len(row) != 3:
             raise ManifoldFileError(f"{path}[{i}]", f"expected 3 entries, got {len(row)}")
         out.append([_expect(x, int, f"{path}[{i}][{j}]", "an integer") for j, x in enumerate(row)])
-    try:
-        return IntMatrix.from_rows(out)
-    except ValueError as exc:
-        raise ManifoldFileError(path, str(exc)) from exc
+    return IntMatrix.from_rows(out)
 
 
 def _piece_from_obj(obj: Any, path: str) -> Piece:

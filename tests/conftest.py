@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from torusglue.lattice import IntMatrix, content
@@ -86,6 +88,34 @@ def random_primitive_vector(rng: random.Random, bound: int = 4) -> tuple[int, ..
 
 def random_curve(rng: random.Random, bound: int = 4) -> CurveClass:
     return CurveClass.of(random_primitive_vector(rng, bound))
+
+
+def coprime_slopes() -> list[tuple[int, int]]:
+    """Every surgery slope p/q with |p| <= 10, 1 <= q <= 10, p and q coprime."""
+    return [(p, q) for p in range(-10, 11) for q in range(1, 11) if math.gcd(p, q) == 1]
+
+
+def minors_gcd(m: IntMatrix, k: int) -> int:
+    """Independent oracle: gcd of all k x k minors."""
+    g = 0
+    for rows in combinations(range(m.rows), k):
+        for cols in combinations(range(m.cols), k):
+            sub = IntMatrix.from_rows([[m.entry(i, j) for j in cols] for i in rows])
+            g = math.gcd(g, abs(sub.det()))
+        if g == 1:
+            return g  # the gcd can only stay 1
+    return g
+
+
+def congruence_oracle(q: int, p: int, p2: int) -> bool:
+    """Exhaustive oracle: p2 = +-p or +-p^{-1} mod q, inverse found by scan."""
+    if q <= 1:
+        return True
+    hits = {p % q, (-p) % q}
+    for t in range(q):
+        if (p * t) % q == 1:
+            hits.update({t, (-t) % q})
+    return p2 % q in hits
 
 
 def run_python(*args: str, optimize: bool = False) -> subprocess.CompletedProcess:

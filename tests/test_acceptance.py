@@ -9,7 +9,6 @@ import json
 import math
 import random
 import time
-from itertools import combinations
 
 from torusglue.cli import main
 from torusglue.enumeration import enumerate_gluings
@@ -35,18 +34,9 @@ from torusglue.surgery import (
 )
 from torusglue.torus3 import CurveClass, fibration_from_torus, sign_normalize, torus_through
 
-from conftest import random_unimodular
+from conftest import congruence_oracle, coprime_slopes, minors_gcd, random_unimodular
 
 DISK_PAIR_ROWS_AT_1 = 62  # pinned from the first full run of the N=1 enumeration
-
-
-def coprime_slopes():
-    return [
-        (p, q)
-        for p in range(-10, 11)
-        for q in range(1, 11)
-        if math.gcd(p, q) == 1
-    ]
 
 
 def test_criterion_1_lens_family(capsys):
@@ -187,17 +177,6 @@ def test_criterion_6_chi_vanishes(capsys):
         print(f"[acceptance 6] PASS chi chain: {checked} glued manifolds, all chi = 0")
 
 
-def _minors_gcd(m, k):
-    g = 0
-    for rows in combinations(range(m.rows), k):
-        for cols in combinations(range(m.cols), k):
-            sub = IntMatrix.from_rows([[m.entry(i, j) for j in cols] for i in rows])
-            g = math.gcd(g, abs(sub.det()))
-        if g == 1:
-            return g  # the gcd can only stay 1
-    return g
-
-
 def test_criterion_7_snf_correctness(capsys):
     """10000 random matrices up to 5x5 with entries in [-9,9]: U A V = D,
     unimodular transforms, divisibility chain, determinantal divisors."""
@@ -216,19 +195,9 @@ def test_criterion_7_snf_correctness(capsys):
         prod = 1
         for k in range(1, min(r, c) + 1):
             prod *= diag[k - 1]
-            assert prod == _minors_gcd(a, k)
+            assert prod == minors_gcd(a, k)
     with capsys.disabled():
         print("[acceptance 7] PASS Smith normal form: 10000 matrices, all invariants hold")
-
-
-def _congruence_oracle(q, p, p2):
-    if q <= 1:
-        return True
-    hits = {p % q, (-p) % q}
-    for t in range(q):
-        if (p * t) % q == 1:
-            hits.update({t, (-t) % q})
-    return p2 % q in hits
 
 
 def test_criterion_8_lens_equivalence(capsys):
@@ -245,7 +214,7 @@ def test_criterion_8_lens_equivalence(capsys):
         for a in spaces:
             assert lens_equivalent(a, a)
             for b in spaces:
-                assert lens_equivalent(a, b) == _congruence_oracle(q, a.p, b.p)
+                assert lens_equivalent(a, b) == congruence_oracle(q, a.p, b.p)
                 assert lens_equivalent(a, b) == lens_equivalent(b, a)
                 checked += 1
                 for c in spaces:

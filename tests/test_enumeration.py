@@ -46,6 +46,13 @@ DIGESTS_AT_3 = {
     (3, 3): "301f1bed6f7c5a279aeeace14c710729c16cc30879027c351e00fb3dcfbf40dd",
 }
 
+# SHA-256 of the N = 4 entry sequence (40,647 matrices) for the lambda-index
+# pair both perfbench enumerate inputs use, recorded with the generator that
+# still listed all 16 signed permutations of each framing.
+DIGESTS_AT_4 = {
+    (2, 1): "acfd6f4d33666a3745088ecbad233517398e254768a5ef657cf234fd582e5ccf",
+}
+
 
 def _reference_signed_permutations_fixing(index):
     others = [i for i in range(3) if i != index]
@@ -118,6 +125,13 @@ def test_sequence_digest_at_2(left_index, right_index):
 def test_sequence_digest_at_3(left_index, right_index):
     sequence = _generated_entries(3, left_index, right_index)
     assert _digest(sequence) == DIGESTS_AT_3[left_index, right_index]
+
+
+@pytest.mark.parametrize("left_index,right_index", DIGESTS_AT_4)
+def test_sequence_digest_at_4(left_index, right_index):
+    sequence = _generated_entries(4, left_index, right_index)
+    assert len(sequence) == 40_647
+    assert _digest(sequence) == DIGESTS_AT_4[left_index, right_index]
 
 
 def test_least_members_lead_every_row_and_column_with_a_negative_entry():

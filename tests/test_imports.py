@@ -1,10 +1,12 @@
 """Static checks on the package's names: every name a module or an
 experiment script imports is used there, every module-level private (not
-dunder) name is used in its own module, and every name the package root
+dunder) name is used in its own module, every name the package root
 re-exports is defined in the module it is imported from, so a deletion
-cannot leave a stale import or helper."""
+cannot leave a stale import or helper, and nothing outside the standard
+library is imported."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,21 @@ def test_every_imported_name_is_used(path):
     tree = _tree(path)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))],
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_only_the_standard_library_is_imported(path):
+    allowed = sys.stdlib_module_names | ({"torusglue"} if path.parent.name == "scripts" else set())
+    tree = _tree(path)
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [
+        n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 0
+    ]
+    assert [m for m in modules if m.split(".")[0] not in allowed] == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

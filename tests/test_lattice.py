@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -26,17 +26,7 @@ from torusglue.lattice import (
 )
 from torusglue.torus3 import CurveClass, FibrationOfT3, TorusClass
 
-from conftest import random_unimodular
-
-
-def minors_gcd(m: IntMatrix, k: int) -> int:
-    """Independent oracle: gcd of all k x k minors."""
-    g = 0
-    for rows in combinations(range(m.rows), k):
-        for cols in combinations(range(m.cols), k):
-            sub = IntMatrix.from_rows([[m.entry(i, j) for j in cols] for i in rows])
-            g = math.gcd(g, abs(sub.det()))
-    return g
+from conftest import minors_gcd, random_unimodular
 
 
 def assert_snf_invariants(a: IntMatrix) -> None:

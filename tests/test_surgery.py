@@ -31,14 +31,7 @@ from torusglue.surgery import (
 )
 from torusglue.torus3 import CurveClass
 
-from conftest import random_lambda_stabilizer, random_unimodular
-
-
-def coprime_pairs(p_bound, q_bound):
-    for p in range(-p_bound, p_bound + 1):
-        for q in range(1, q_bound + 1):
-            if math.gcd(p, q) == 1:
-                yield p, q
+from conftest import congruence_oracle, coprime_slopes, random_lambda_stabilizer, random_unimodular
 
 
 def expected_h1(q):
@@ -83,17 +76,6 @@ def test_lens_parameters_pass_the_integer_gate():
     assert type(spec.p) is int and spec.p == 1
     with pytest.raises(TypeError):
         SurgerySpec.from_slope(2.0, 3)
-
-
-def congruence_oracle(q, p, p2):
-    """Exhaustive oracle: p2 = +-p or +-p^{-1} mod q, inverse found by scan."""
-    if q <= 1:
-        return True
-    hits = {p % q, (-p) % q}
-    for t in range(q):
-        if (p * t) % q == 1:
-            hits.update({t, (-t) % q})
-    return p2 % q in hits
 
 
 def all_normalized(q):
@@ -190,7 +172,7 @@ def test_unknot_surgery_examples():
 
 
 def test_unknot_surgery_family_with_homology_crosscheck():
-    for p, q in coprime_pairs(10, 10):
+    for p, q in coprime_slopes():
         x, lens = unknot_torus_surgery(SurgerySpec.from_slope(p, q))
         assert lens == lens_normalize(q, p), (p, q)
         assert mayer_vietoris_h1(x) == expected_h1(lens.q), (p, q)
