@@ -63,7 +63,6 @@ from .torus3 import (
     TorusClass,
     act,
     canonical_torus_containing,
-    contains,
     dual_curve,
     fibration_from_torus,
     torus_through,

@@ -57,18 +57,22 @@ class GluedManifold:
 class FibrationResult:
     """A circle fibration of a glued manifold, with certificates on both sides.
 
-    phi and torus are in the first piece's boundary coordinates; the second
-    certificate is in the second piece's own coordinates (the covector is
-    pulled back through the gluing by the transpose).  parallel_case records
-    that the two lambda curves coincided and the torus was picked by the
-    fixed rule rather than spanned.
+    phi and its fiber torus are in the first piece's boundary coordinates;
+    the second certificate is in the second piece's own coordinates (the
+    covector is pulled back through the gluing by the transpose).
+    parallel_case records that the two lambda curves coincided and the torus
+    was picked by the fixed rule rather than spanned.
     """
 
     phi: FibrationOfT3
-    torus: TorusClass
     cert_w: ExtensionCertificate
     cert_w_prime: ExtensionCertificate
     parallel_case: bool
+
+    @property
+    def torus(self) -> TorusClass:
+        """The fiber torus: the class whose covector is phi."""
+        return TorusClass(self.phi.phi)
 
 
 def glue(w: Piece, w_prime: Piece, f: GluingMap) -> GluedManifold:
@@ -106,7 +110,6 @@ def find_fibration(x: GluedManifold) -> FibrationResult:
     cert_wp = extension_certificate(x.w_prime, fib_wp)
     return FibrationResult(
         phi=fib,
-        torus=torus,
         cert_w=cert_w,
         cert_w_prime=cert_wp,
         parallel_case=parallel,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gluing import (
     FibrationResult,
@@ -99,34 +99,30 @@ def lens_equivalent(a: LensSpace, b: LensSpace) -> bool:
 
 @dataclass(frozen=True)
 class SurgerySpec:
-    """A slope (p, q) for surgery along S^1 x (unknot), with the unimodular
-    matrix actually glued by.
+    """A slope (p, q) for surgery along S^1 x (unknot), with the gluing map
+    a surgery glues by.
 
-    The completion's first column is (q, p, 0): the glued disk boundary goes
-    to q*mu + p*lambda in the complement framing (mu, lambda, s).  The third
-    column is (0, 0, 1): the leftover circle of the new piece is the product
-    circle s.  The second column only has to make the matrix unimodular; the
-    classification does not depend on it.  gluing is the completion as the
-    GluingMap that validated it, the one a surgery glues by.
+    The gluing matrix completes the slope to a unimodular matrix.  Its first
+    column is (q, p, 0): the glued disk boundary goes to q*mu + p*lambda in
+    the complement framing (mu, lambda, s).  The third column is (0, 0, 1):
+    the leftover circle of the new piece is the product circle s.  The
+    second column only has to make the matrix unimodular; the classification
+    does not depend on it.  Unimodularity makes p and q coprime.
     """
 
     p: int
     q: int
-    completion: IntMatrix
-    gluing: GluingMap = field(init=False, repr=False, compare=False)
+    gluing: GluingMap
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", operator.index(self.p))
         object.__setattr__(self, "q", operator.index(self.q))
-        if math.gcd(self.p, self.q) != 1:
-            raise NotCoprime(f"gcd({self.p}, {self.q}) != 1")
-        # raises NotUnimodular unless 3x3 with det +-1
-        object.__setattr__(self, "gluing", GluingMap(self.completion))
-        if self.completion.column(0) != (self.q, self.p, 0):
-            raise ValueError(
-                f"first completion column {self.completion.column(0)} != {(self.q, self.p, 0)}"
-            )
-        if self.completion.column(2) != (0, 0, 1):
+        if not isinstance(self.gluing, GluingMap):
+            raise TypeError(f"gluing must be a GluingMap, not {type(self.gluing).__name__}")
+        m = self.gluing.m
+        if m.column(0) != (self.q, self.p, 0):
+            raise ValueError(f"first completion column {m.column(0)} != {(self.q, self.p, 0)}")
+        if m.column(2) != (0, 0, 1):
             raise ValueError("third completion column must be (0, 0, 1)")
 
     @classmethod
@@ -137,10 +133,12 @@ class SurgerySpec:
         first, giving the distinct unimodular completions used to check that
         the choice does not matter.
         """
+        if math.gcd(p, q) != 1:
+            raise NotCoprime(f"gcd({p}, {q}) != 1")
         _, a, b = xgcd(q, p)  # q*a + p*b = 1
         second = (-b + seed * q, a + seed * p, 0)
-        completion = IntMatrix.from_columns([(q, p, 0), second, (0, 0, 1)])
-        return cls(p=p, q=q, completion=completion)
+        m = IntMatrix.from_columns([(q, p, 0), second, (0, 0, 1)])
+        return cls(p=p, q=q, gluing=GluingMap(m))
 
 
 # The pieces of a surgery along S^1 x (unknot): its complement in S^1 x S^3,

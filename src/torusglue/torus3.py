@@ -152,11 +152,6 @@ def fibration_from_torus(t: TorusClass) -> FibrationOfT3:
     return FibrationOfT3(phi=t.n, fiber_basis=(b1, b2))
 
 
-def contains(t: TorusClass, c: CurveClass) -> bool:
-    """Whether the torus contains the curve: the covector kills the class."""
-    return dot(t.n, c.v) == 0
-
-
 def dual_curve(fib: FibrationOfT3) -> CurveClass:
     """A deterministic curve class c with n . c = 1, n the sign-normalized phi.
 
@@ -170,7 +165,7 @@ def dual_curve(fib: FibrationOfT3) -> CurveClass:
     n1, n2, n3 = n
     g, x, y = xgcd(n1, n2)
     if g == 0:
-        d = (0, 0, 1 if n3 > 0 else -1)
+        d = (0, 0, 1)
     else:
         _, u, w = xgcd(g, n3)
         d = (x * u, y * u, w)

@@ -79,7 +79,7 @@ def test_criterion_3_completion_independence(capsys):
     completions = set()
     for seed in range(-10, 10):
         spec = SurgerySpec.from_slope(2, 3, seed=seed)
-        completions.add(spec.completion.entries)
+        completions.add(spec.gluing.m.entries)
         x, lens = unknot_torus_surgery(spec)
         results.add((lens, mayer_vietoris_h1(x)))
     assert len(completions) >= 20

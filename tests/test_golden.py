@@ -3,8 +3,9 @@
 Each digest is the SHA-256 of the exit code, stdout and stderr of a fixed
 sequence of `main([...])` calls.  The digests were recorded before any
 performance work on the code they cover; a change that alters a single
-byte of user-visible output fails here.  One more digest pins the library's
-fibration certificates, which the command line prints only in part.
+byte of user-visible output fails here.  One digest pins the text format of
+every subcommand the same way, and one more pins the library's fibration
+certificates, which the command line prints only in part.
 """
 
 from __future__ import annotations
@@ -44,14 +45,19 @@ HOMOLOGY_EXAMPLE_DIGEST = (
 CERTIFICATES_AT_1_DIGEST = (
     "2848908d8585054169e82a9b08770a083799f9077cccf503eb1a580be7d02b5e"
 )
+# _text_argvs() in the text format, recorded before SurgerySpec and
+# FibrationResult each dropped their second copy of the gluing and the torus
+TEXT_FORMAT_DIGEST = (
+    "69edb3f869d704a5f9cc6e59f0b7c28c86228fced6d37bd831d29dd484c69dcd"
+)
 
 
-def _digest(argvs):
+def _digest(argvs, fmt="machine-readable"):
     h = hashlib.sha256()
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--format", "machine-readable"])
+            code = main([*argv, "--format", fmt])
         h.update(f"exit {code}\n{out.getvalue()}{err.getvalue()}".encode())
     return h.hexdigest()
 
@@ -66,6 +72,24 @@ def _surgery_slope_argvs():
         for p in range(-30, 31):
             if math.gcd(p, q) == 1:
                 yield ["surgery", str(p), str(q)]
+
+
+def _text_argvs():
+    """Every subcommand once or more: the N = 1 enumeration rows of the nine
+    kind pairs, fibration and homology of both example documents, a few
+    surgery slopes with and without --quiet, and the obstruction cases."""
+    yield from _enumerate_at_1_argvs()
+    for path in (README_EXAMPLE, HOMOLOGY_EXAMPLE):
+        yield ["fibration", str(path)]
+        yield ["homology", str(path)]
+    for slope in (["2", "3"], ["0", "1"], ["1", "0"], ["-7", "5"], ["5", "-12"]):
+        yield ["surgery", *slope]
+        yield ["surgery", *slope, "--quiet"]
+    yield ["surgery", "2", "3", "--completion-seed", "5"]
+    yield ["surgery", "2", "4"]  # not coprime: exit 1 with the gcd
+    for sigma in ("0", "unknown"):
+        yield ["check-obstruction", "--chi", "0", "--sigma", sigma]
+    yield ["check-obstruction", "--chi", "2", "--sigma", "0"]
 
 
 def test_enumerate_at_1_all_kind_pairs():
@@ -86,6 +110,10 @@ def test_readme_example_homology():
 
 def test_homology_example():
     assert _digest([["homology", str(HOMOLOGY_EXAMPLE)]]) == HOMOLOGY_EXAMPLE_DIGEST
+
+
+def test_text_format_of_every_subcommand():
+    assert _digest(_text_argvs(), fmt="text") == TEXT_FORMAT_DIGEST
 
 
 def _certificate_lines():

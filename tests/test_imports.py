@@ -3,7 +3,9 @@ experiment script imports is used there, every module-level private (not
 dunder) name is used in its own module, every name the package root
 re-exports is defined in the module it is imported from, so a deletion
 cannot leave a stale import or helper, and nothing outside the standard
-library is imported."""
+library is imported.  Two more checks keep properties structural: the
+homology verifier takes only data types from the fibration engine, and no
+code runs differently under `python -O`."""
 
 import ast
 import sys
@@ -13,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "torusglue"
+SOURCES = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -54,11 +57,7 @@ def test_every_imported_name_is_used(path):
     assert [name for name in _imported_names(tree) if name not in used] == []
 
 
-@pytest.mark.parametrize(
-    "path",
-    [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))],
-    ids=lambda p: f"{p.parent.name}/{p.name}",
-)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_only_the_standard_library_is_imported(path):
     allowed = sys.stdlib_module_names | ({"torusglue"} if path.parent.name == "scripts" else set())
     tree = _tree(path)
@@ -94,3 +93,41 @@ def test_every_export_is_defined_in_its_module():
         for module in {module for module, _ in exports}
     }
     assert [f"{m}.{name}" for m, name in exports if name not in definitions[m]] == []
+
+
+def _package_imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(module, name) for every name imported from a torusglue module; a
+    module imported whole (`from . import m`, `import torusglue.m`) gives
+    (m, "*"), and the package root is the module "__init__"."""
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("torusglue")):
+            module = (node.module or "").removeprefix("torusglue").lstrip(".")
+            pairs += [(module, a.name) if module else (a.name, "*") for a in node.names]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "torusglue":
+                    pairs.append((a.name.partition(".")[2] or "__init__", "*"))
+    return pairs
+
+
+def test_the_verifier_imports_only_data_types_from_the_engine():
+    # the Mayer-Vietoris verifier shares lattice with the engine, and from
+    # the engine's modules (gluing, pieces, torus3, surgery, enumeration) it
+    # takes only the two types a glued manifold is made of
+    imports = _package_imports(_tree(PACKAGE / "invariants.py"))
+    assert ("lattice", "cokernel") in imports
+    engine = {pair for pair in imports if pair[0] != "lattice"}
+    assert engine <= {("gluing", "GluedManifold"), ("pieces", "Piece")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_code_depends_on_assertions_being_enabled(path):
+    # python -O drops assert statements and makes __debug__ False
+    tree = _tree(path)
+    uses = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+    assert uses == []

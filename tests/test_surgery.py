@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
 import random
 
 import pytest
 
 from torusglue import surgery
+from torusglue.enumeration import enumerate_gluings
 from torusglue.gluing import GluingMap, find_fibration, glue
 from torusglue.invariants import mayer_vietoris_h1
 from torusglue.lattice import AbelianGroup, IntMatrix, NotUnimodular, dot, solve
@@ -123,37 +125,34 @@ def test_surgery_spec_validation():
         SurgerySpec(
             p=2,
             q=3,
-            completion=IntMatrix.from_columns([(3, 2, 0), (1, 1, 0), (0, 1, 1)]),
+            gluing=GluingMap(IntMatrix.from_columns([(3, 2, 0), (1, 1, 0), (0, 1, 1)])),
         )
     with pytest.raises(ValueError):
         SurgerySpec(
             p=2,
             q=3,
-            completion=IntMatrix.from_columns([(2, 3, 0), (1, 1, 0), (0, 0, 1)]),
+            gluing=GluingMap(IntMatrix.from_columns([(2, 3, 0), (1, 1, 0), (0, 0, 1)])),
         )
     # shape and determinant are the gluing map's checks, messages included
     with pytest.raises(NotUnimodular, match=r"^gluing matrix must be 3x3$"):
-        SurgerySpec(p=2, q=3, completion=IntMatrix.from_columns([(3, 2), (1, 1)]))
+        SurgerySpec(p=2, q=3, gluing=GluingMap(IntMatrix.from_columns([(3, 2), (1, 1)])))
     with pytest.raises(NotUnimodular, match=r"^gluing matrix has determinant 2$"):
         SurgerySpec(
             p=2,
             q=3,
-            completion=IntMatrix.from_columns([(3, 2, 0), (2, 2, 0), (0, 0, 1)]),
+            gluing=GluingMap(IntMatrix.from_columns([(3, 2, 0), (2, 2, 0), (0, 0, 1)])),
         )
+    # a bare matrix is not a validated gluing map
+    with pytest.raises(TypeError, match=r"^gluing must be a GluingMap, not IntMatrix$"):
+        SurgerySpec(p=2, q=3, gluing=IntMatrix.from_columns([(3, 2, 0), (1, 1, 0), (0, 0, 1)]))
     spec = SurgerySpec.from_slope(2, 3)
-    assert spec.completion.column(0) == (3, 2, 0)
-    assert spec.completion.column(2) == (0, 0, 1)
-    assert abs(spec.completion.det()) == 1
+    assert spec.gluing.m.column(0) == (3, 2, 0)
+    assert spec.gluing.m.column(2) == (0, 0, 1)
+    assert abs(spec.gluing.m.det()) == 1
 
 
-def test_surgery_spec_keeps_its_gluing_map_out_of_repr_and_equality():
+def test_surgery_glues_by_its_specs_gluing_map():
     spec = SurgerySpec.from_slope(2, 3)
-    assert spec.gluing == GluingMap(spec.completion)
-    assert repr(spec) == f"SurgerySpec(p=2, q=3, completion={spec.completion!r})"
-    twin = SurgerySpec(p=2, q=3, completion=spec.completion)
-    assert twin == spec and hash(twin) == hash(spec)
-    assert twin.gluing is not spec.gluing
-    # the surgery glues by that very map, not a second one
     x, _ = unknot_torus_surgery(spec)
     assert x.f is spec.gluing
 
@@ -197,6 +196,15 @@ def _lens_by_solve(x):
     return lens_normalize(q, p)
 
 
+def _lens_by_closed_form(x):
+    """The lens space read off the glued meridian v = f(lambda') alone, with
+    no fibration: q is the gcd of v's two entries off the first piece's
+    lambda axis, and p is v's lambda entry mod q."""
+    v = x.f.m.column(x.w_prime.lambda_index - 1)
+    axis = x.w.lambda_index - 1
+    return lens_normalize(math.gcd(*v[:axis], *v[axis + 1 :]), v[axis])
+
+
 def test_classifier_matches_solve_on_random_disk_pairs():
     rng = random.Random(2027)
     pairs = [SURGERY_DISK_PAIR, (torus_times_disk(), torus_times_disk())]
@@ -207,9 +215,31 @@ def test_classifier_matches_solve_on_random_disk_pairs():
         x = glue(*pairs[k % 2], GluingMap(f))
         lens = classify_double_disk_gluing(x)
         assert lens == _lens_by_solve(x), f
+        assert lens == _lens_by_closed_form(x), f
         nontrivial += lens.q >= 2
         large += lens.q > 1000
     assert nontrivial > 300 and large > 20  # not only S^3 and S^1 x S^2
+
+
+def _enumerated_disk_pairs():
+    for left, right in itertools.product((1, 2, 3), repeat=2):
+        yield from enumerate_gluings(
+            1, torus_times_disk(lambda_index=left), torus_times_disk(lambda_index=right)
+        )
+    yield from enumerate_gluings(2, *SURGERY_DISK_PAIR)
+
+
+def test_classifier_matches_closed_form_on_enumerated_disk_pairs():
+    # every lambda-index pair at N = 1 and the surgery pair at N = 2; all
+    # these rows have q <= 2, so they test q and the lambda axis, while the
+    # random gluings above reach q > 1000 and test p
+    rows = nontrivial = 0
+    for x in _enumerated_disk_pairs():
+        lens = classify_double_disk_gluing(x)
+        assert lens == _lens_by_closed_form(x), x.f.m
+        rows += 1
+        nontrivial += lens.q >= 2
+    assert rows == 9 * 62 + 1077 and nontrivial > 0
 
 
 def test_classifier_raises_when_gamma_leaves_the_fiber_torus(monkeypatch):

@@ -22,7 +22,6 @@ from torusglue.torus3 import (
     TorusClass,
     act,
     canonical_torus_containing,
-    contains,
     dual_curve,
     fibration_from_torus,
     sign_normalize,
@@ -106,7 +105,7 @@ def test_canonical_torus_matches_oracle():
 def test_canonical_torus_large_curves(v):
     # the rule is a closed form, so large entries cost no search
     t = canonical_torus_containing(CurveClass(v))
-    assert contains(t, CurveClass(v))
+    assert dot(t.n, v) == 0
 
 
 def test_fibration_from_torus_coordinate():
@@ -155,12 +154,6 @@ def test_fibration_validation_matches_smith_form(phi, coeffs):
     except ValueError:
         accepted = False
     assert accepted == spans
-
-
-def test_contains_examples():
-    assert contains(TorusClass.of((0, 0, 1)), CurveClass.of((1, 0, 0)))
-    assert not contains(TorusClass.of((0, 0, 1)), CurveClass.of((0, 0, 1)))
-    assert contains(TorusClass.of((1, -1, 1)), CurveClass.of((1, 1, 0)))
 
 
 def test_dual_curve_examples():
@@ -212,7 +205,8 @@ def test_act_properties():
         a = random_curve(rng)
         b = random_curve(rng)
         t = TorusClass.of(random_curve(rng).v)
-        assert contains(act(m1, t), act(m1, a)) == contains(t, a)
+        # a torus contains a curve when its covector kills the curve's class
+        assert (dot(act(m1, t).n, act(m1, a).v) == 0) == (dot(t.n, a.v) == 0)
         assert act(m1 @ m2, a) == act(m1, act(m2, a))
         assert act(m1 @ m2, t) == act(m1, act(m2, t))
         if a != b:
