@@ -13,8 +13,8 @@ Subcommands:
                            torus-fibered 2-torus knot
 
 Exit codes: 0 success/consistent, 1 usage error, 2 file parse error,
-3 internal inconsistency (the classifier and the homology computation
-disagree; this indicates a bug and is asserted against in the test suite).
+3 internal inconsistency (a classification disagrees with an independent
+check; this indicates a bug and is asserted against in the test suite).
 """
 
 from __future__ import annotations

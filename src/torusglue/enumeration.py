@@ -7,6 +7,7 @@ from enumerate_gluings and judge each glued manifold with check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -14,7 +15,7 @@ from .gluing import FibrationResult, GluedManifold, GluingMap, find_fibration, g
 from .invariants import euler_characteristic_glued, mayer_vietoris_h1
 from .lattice import AbelianGroup, IntMatrix, cross, is_primitive
 from .pieces import Piece, PieceKind, sample_piece
-from .surgery import SURGERY_DISK_PAIR, LensSpace, classify_double_disk_gluing
+from .surgery import SURGERY_DISK_PAIR, LensSpace, classify_double_disk_gluing, lens_normalize
 from .torus3 import is_sign_normalized
 
 # only orbit representatives are classified: 62 rows at N = 1, 1,077 at
@@ -48,14 +49,20 @@ def check(x: GluedManifold) -> Verdict:
     """Classify or fiber x, and confirm the answer by Mayer-Vietoris.
 
     Two T^2 x D^2 pieces are classified as S^1 x L(q,p), consistent when
-    H_1 = Z + Z/q and chi = 0; any other pair is fibered over the circle,
-    consistent when chi = 0, as for every manifold that fibers over S^1.
+    H_1 = Z + Z/q, chi = 0 and, since H_1 pins only q, the lens equals the
+    closed-form reading of the glued meridian v = f(lambda'): q is the gcd
+    of v's two entries off the first piece's lambda axis, p = v's lambda
+    entry mod q.  Any other pair is fibered over the circle, consistent when
+    chi = 0, as for every manifold that fibers over S^1.
     """
     h1 = mayer_vietoris_h1(x)
     chi = euler_characteristic_glued(x)
     if x.w.kind is x.w_prime.kind is PieceKind.TORUS_TIMES_DISK:
         lens = classify_double_disk_gluing(x)
-        return Verdict(h1, chi, lens, None, h1 == expected_h1_for_lens(lens) and chi == 0)
+        v, axis = x.f.m.column(x.w_prime.lambda_index - 1), x.w.lambda_index - 1
+        closed = lens_normalize(math.gcd(*v[:axis], *v[axis + 1 :]), v[axis])
+        consistent = lens == closed and h1 == expected_h1_for_lens(lens) and chi == 0
+        return Verdict(h1, chi, lens, None, consistent)
     return Verdict(h1, chi, None, find_fibration(x), chi == 0)
 
 

@@ -95,13 +95,13 @@ class ManifoldFile:
 
 def _int_rows(obj: Any, path: str) -> IntMatrix:
     rows = _expect(obj, list, path, "a list of rows")
-    out = []
+    entries = []
     for i, row in enumerate(rows):
         row = _expect(row, list, f"{path}[{i}]", "a list of integers")
         if len(row) != 3:
             raise ManifoldFileError(f"{path}[{i}]", f"expected 3 entries, got {len(row)}")
-        out.append([_expect(x, int, f"{path}[{i}][{j}]", "an integer") for j, x in enumerate(row)])
-    return IntMatrix.from_rows(out)
+        entries += [_expect(x, int, f"{path}[{i}][{j}]", "an integer") for j, x in enumerate(row)]
+    return IntMatrix(len(rows), 3, tuple(entries))  # shaped, so [] reads back as 0x3
 
 
 def _piece_from_obj(obj: Any, path: str) -> Piece:

@@ -9,6 +9,7 @@ from torusglue.gluing import GluingMap
 from torusglue.lattice import AbelianGroup, IntMatrix
 from torusglue.manifold_files import ManifoldFile, serialize_manifold_file
 from torusglue.pieces import PieceKind, sample_piece, torus_times_disk
+from torusglue.surgery import classify_double_disk_gluing, lens_normalize
 
 from conftest import run_python
 
@@ -186,6 +187,19 @@ def test_exit_3_when_homology_disagrees(capsys, monkeypatch):
     assert main(["enumerate", "--max-entry", "1", "--format", "machine-readable"]) == 3
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(rows) == 62 and not any(r["consistent"] for r in rows)
+
+
+def test_exit_3_when_the_classifier_gets_p_wrong(capsys, monkeypatch):
+    # L(5,-2) has the right q, so H_1 = Z + Z/5 agrees; only the closed-form
+    # reading of the glued meridian catches the wrong p (rows at N <= 2 all
+    # have q <= 2, where no wrong p exists)
+    def flip_p(x):
+        lens = classify_double_disk_gluing(x)
+        return lens_normalize(lens.q, -lens.p)
+
+    monkeypatch.setattr(enumeration, "classify_double_disk_gluing", flip_p)
+    assert main(["surgery", "2", "5", "--quiet"]) == 3
+    assert capsys.readouterr().out == "L(5,3); H1 = Z + Z/5; chi = 0; INCONSISTENT\n"
 
 
 def test_enumerate_disks(capsys):

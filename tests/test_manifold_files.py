@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from torusglue.gluing import GluingMap
-from torusglue.lattice import IntMatrix
+from torusglue.lattice import AbelianGroup, IntMatrix
 from torusglue.manifold_files import (
     ManifoldFile,
     ManifoldFileError,
@@ -105,24 +106,32 @@ def test_file_the_parser_would_reject_is_rejected_at_construction(overrides, fie
 
 def test_gluing_row_count_is_reported_by_the_gluing_map():
     doc = json.loads(example_file())
-    doc["gluing"]["matrix"] = [[1, 0, 0], [0, 1, 0]]
-    with pytest.raises(ManifoldFileError, match=r"^gluing\.matrix: gluing matrix must be 3x3$"):
-        parse_manifold_file(json.dumps(doc))
+    for matrix in ([[1, 0, 0], [0, 1, 0]], []):
+        doc["gluing"]["matrix"] = matrix
+        with pytest.raises(ManifoldFileError, match=r"^gluing\.matrix: gluing matrix must be 3x3$"):
+            parse_manifold_file(json.dumps(doc))
 
 
 def test_canonical_round_trip_is_byte_identical():
-    mf = ManifoldFile(
-        version="1",
-        pieces=(torus_times_disk(), sample_piece(PieceKind.SURFACE_BUNDLE_OVER_TORUS)),
-        gluing=GluingMap(IntMatrix.from_columns([(0, 1, 0), (0, 0, 1), (1, 0, 0)])),
-        orientation_note="",
-        metadata={"name": "round trip", "nested": [1, 2.5, None, True, {"k": []}]},
+    # the second input declares H_1 = 0, so its inclusion has no rows
+    acyclic = dataclasses.replace(
+        sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT),
+        h1=AbelianGroup(0, ()),
+        inclusion=IntMatrix(0, 3, ()),
     )
-    text = serialize_manifold_file(mf)
-    assert serialize_manifold_file(parse_manifold_file(text)) == text
-    # twice more through the loop for good measure
-    text2 = serialize_manifold_file(parse_manifold_file(text))
-    assert serialize_manifold_file(parse_manifold_file(text2)) == text
+    for second in (sample_piece(PieceKind.SURFACE_BUNDLE_OVER_TORUS), acyclic):
+        mf = ManifoldFile(
+            version="1",
+            pieces=(torus_times_disk(), second),
+            gluing=GluingMap(IntMatrix.from_columns([(0, 1, 0), (0, 0, 1), (1, 0, 0)])),
+            orientation_note="",
+            metadata={"name": "round trip", "nested": [1, 2.5, None, True, {"k": []}]},
+        )
+        text = serialize_manifold_file(mf)
+        assert serialize_manifold_file(parse_manifold_file(text)) == text
+        # twice more through the loop for good measure
+        text2 = serialize_manifold_file(parse_manifold_file(text))
+        assert serialize_manifold_file(parse_manifold_file(text2)) == text
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ stale."""
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
 
+import torusglue
 from torusglue.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +46,21 @@ def test_library_example_prints_what_readme_says(capsys):
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
     assert len(expected) == 5
+
+
+def test_package_root_exports_exactly_the_library_example_imports():
+    # every other name is imported from its module, so a deletion never has
+    # to edit the root as well
+    code = _block("## Library", "python")
+    imported = re.search(r"from torusglue import \((.*?)\)", code, re.DOTALL).group(1)
+    readme_names = {name.strip() for name in imported.split(",") if name.strip()}
+    exports = {
+        name
+        for name, value in vars(torusglue).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert len(readme_names) == 10
+    assert exports == readme_names
 
 
 def test_cli_examples_print_what_readme_says(capsys, monkeypatch):

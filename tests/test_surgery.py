@@ -242,6 +242,25 @@ def test_classifier_matches_closed_form_on_enumerated_disk_pairs():
     assert rows == 9 * 62 + 1077 and nontrivial > 0
 
 
+def test_lens_class_is_unchanged_by_framing_changes():
+    # a framing change of either piece that fixes its lambda up to sign is a
+    # self-diffeomorphism, so f and A @ f @ B glue the same manifold, up to
+    # orientation
+    rng = random.Random(2029)
+    pairs = [SURGERY_DISK_PAIR, (torus_times_disk(), torus_times_disk())]
+    large = 0
+    for k in range(1000):
+        w, w_prime = pairs[k % 2]
+        f = random_unimodular(rng, max_factors=30)
+        a = random_lambda_stabilizer(rng, w.lambda_index - 1)
+        b = random_lambda_stabilizer(rng, w_prime.lambda_index - 1)
+        lens = classify_double_disk_gluing(glue(w, w_prime, GluingMap(f)))
+        moved = classify_double_disk_gluing(glue(w, w_prime, GluingMap(a @ f @ b)))
+        assert lens_class(moved) == lens_class(lens), (f, a, b)
+        large += lens.q >= 5
+    assert large > 20  # q = 5 is the first q with two lens classes
+
+
 def test_classifier_raises_when_gamma_leaves_the_fiber_torus(monkeypatch):
     def gamma_off_the_torus(x):
         result = find_fibration(x)
