@@ -19,10 +19,11 @@ from .surgery import SURGERY_DISK_PAIR, LensSpace, classify_double_disk_gluing, 
 from .torus3 import is_sign_normalized
 
 # only orbit representatives are classified: 62 rows at N = 1, 1,077 at
-# N = 2, but 10,055 at N = 3 (a 2.1 s disk-pair sweep of enumerate_gluings
-# plus check, 0.18 s of it in the generator, median of 3 runs with Python
-# 3.11.7 on a 2-CPU machine whose perfbench calibration loop took 0.07 s),
-# so stay desk-scale
+# N = 2, but 10,055 at N = 3, where a disk-pair sweep of enumerate_gluings
+# plus check in one process takes about 33 x perfbench.run.calibration_s(),
+# 2.8 x of it in the generator (timed around each next; median of 5 runs,
+# 31-46 x, Python 3.11.7 on 2 CPUs, calibration 0.09-0.12 s), so stay
+# desk-scale
 MAX_ENUMERATION_ENTRY = 2
 
 

@@ -117,25 +117,14 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    def _check_row(self, i: int) -> None:
+    def row(self, i: int) -> Vec:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} of a {self.rows}x{self.cols} matrix")
-
-    def _check_column(self, j: int) -> None:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
-
-    def entry(self, i: int, j: int) -> int:
-        self._check_row(i)
-        self._check_column(j)
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vec:
-        self._check_row(i)
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> Vec:
-        self._check_column(j)
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
         return self.entries[j :: self.cols]
 
     def to_rows(self) -> tuple[Vec, ...]:

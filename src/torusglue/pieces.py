@@ -169,11 +169,6 @@ def boundary_lambda(p: Piece) -> CurveClass:
     return _STANDARD_BASIS[p.lambda_index - 1]
 
 
-def can_extend(p: Piece, fib: FibrationOfT3) -> bool:
-    """Whether the boundary fibration extends over the piece: phi(lambda) = 0."""
-    return dot(fib.phi, boundary_lambda(p).v) == 0
-
-
 @dataclass(frozen=True)
 class ExtensionCertificate:
     """Basis (gamma, lambda, alpha) of Z^3 witnessing a fibration extension.
@@ -202,7 +197,7 @@ def extension_certificate(p: Piece, fib: FibrationOfT3) -> ExtensionCertificate:
     the fiber torus.
     """
     lam = boundary_lambda(p)
-    if not can_extend(p, fib):
+    if dot(fib.phi, lam.v) != 0:
         raise ExtensionObstructed(
             f"covector {fib.phi} does not kill lambda = {lam.v} of the {p.kind.value} piece"
         )

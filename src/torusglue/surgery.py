@@ -92,11 +92,6 @@ def lens_class(lens: LensSpace) -> LensSpace:
     return LensSpace(lens.q, min(lens.p, (-lens.p) % lens.q, inv, (-inv) % lens.q))
 
 
-def lens_equivalent(a: LensSpace, b: LensSpace) -> bool:
-    """Unoriented lens-space equivalence: equal normal forms."""
-    return lens_class(a) == lens_class(b)
-
-
 @dataclass(frozen=True)
 class SurgerySpec:
     """A slope (p, q) for surgery along S^1 x (unknot), with the gluing map

@@ -100,7 +100,7 @@ def minors_gcd(m: IntMatrix, k: int) -> int:
     g = 0
     for rows in combinations(range(m.rows), k):
         for cols in combinations(range(m.cols), k):
-            sub = IntMatrix.from_rows([[m.entry(i, j) for j in cols] for i in rows])
+            sub = IntMatrix.from_rows([[m.row(i)[j] for j in cols] for i in rows])
             g = math.gcd(g, abs(sub.det()))
         if g == 1:
             return g  # the gcd can only stay 1

@@ -159,6 +159,18 @@ def test_parse_error_when_inclusion_does_not_kill_lambda(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: pieces[1]: lambda bounds the fiber")
 
 
+def test_parse_error_when_a_disk_piece_declares_other_homology(capsys, tmp_path):
+    doc = json.loads(HOMOLOGY_EXAMPLE.read_text())
+    assert doc["pieces"][0]["kind"] == "torus_times_disk"
+    doc["pieces"][0].update(
+        h1={"free_rank": 3, "torsion": []}, inclusion=[[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+    )
+    path = tmp_path / "disk_z3.json"
+    path.write_text(json.dumps(doc))
+    assert main(["homology", str(path)]) == 2
+    assert capsys.readouterr().err == "error: pieces[0]: T^2 x D^2 has H_1 = Z^2\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "machine-readable"])
 def test_surgery_answer_too_long_to_print(capsys, fmt):
     argv = ["surgery", "1", NINES, "--completion-seed", NINES, "--format", fmt]

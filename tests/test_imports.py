@@ -1,7 +1,7 @@
-"""Static checks on the package's names: every name a module or an
-experiment script imports is used there, every module-level private (not
-dunder) name is used in its own module, every name the package root
-re-exports is defined in the module it is imported from, so a deletion
+"""Static checks on the package's names: every name a module, an
+experiment script or a test file imports is used there, every module-level
+private (not dunder) name is used in its own module, every name the package
+root re-exports is defined in the module it is imported from, so a deletion
 cannot leave a stale import or helper, and nothing outside the standard
 library is imported.  Two more checks keep properties structural: the
 homology verifier takes only data types from the fibration engine, and no
@@ -48,6 +48,7 @@ def _top_level_definitions(tree: ast.Module) -> set[str]:
     [
         *(p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"),
         *sorted((ROOT / "scripts").glob("*.py")),
+        *sorted((ROOT / "tests").glob("*.py")),
     ],
     ids=lambda p: p.name,
 )

@@ -39,7 +39,7 @@ def assert_snf_invariants(a: IntMatrix) -> None:
     for i in range(s.D.rows):
         for j in range(s.D.cols):
             if i != j:
-                assert s.D.entry(i, j) == 0
+                assert s.D.row(i)[j] == 0
     for x, y in zip(diag, diag[1:]):
         assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
     prod = 1
@@ -179,6 +179,14 @@ def test_cross_examples():
     assert cross((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
     assert cross((1, 0, 0), (2, 0, 0)) == (0, 0, 0)
     assert cross((1, 1, 0), (0, 1, 1)) == (1, -1, 1)
+    with pytest.raises(ValueError, match="needs length-3 vectors"):
+        cross((1, 0, 0), (0, 1))
+
+
+def test_dot_examples():
+    assert dot((1, 2, 3), (4, -5, 6)) == 12
+    with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):
+        dot((1, 0), (0, 1, 0))
 
 
 @given(vectors3, vectors3)
@@ -267,6 +275,8 @@ def test_abelian_group_validation():
         AbelianGroup(0, (1,))
     with pytest.raises(ValueError):
         AbelianGroup(0, (4, 2))
+    with pytest.raises(ValueError, match="negative free rank"):
+        AbelianGroup(-1, ())
     assert str(AbelianGroup(1, (3,))) == "Z + Z/3"
     assert str(AbelianGroup(2, ())) == "Z^2"
     assert str(AbelianGroup(0, ())) == "0"
@@ -320,6 +330,8 @@ def test_solve():
     assert solve(IntMatrix.from_rows([[2, 4]]), (3,)) is None  # no integer solution
     x = solve(IntMatrix.from_rows([[2, 3]]), (1,))
     assert x is not None and 2 * x[0] + 3 * x[1] == 1
+    with pytest.raises(ValueError, match=r"^vector length 2 vs 3 rows$"):
+        solve(a, (4, 9))
 
 
 def test_kernel_basis():
@@ -352,10 +364,7 @@ def test_unimodular_inverse():
 
 def test_indexing_out_of_range_raises():
     m = IntMatrix.from_rows([(1, 2), (3, 4)])
-    assert (m.entry(1, 0), m.row(1), m.column(1)) == (3, (3, 4), (2, 4))
-    for i, j in [(0, 2), (2, 0), (-1, 0), (0, -1)]:
-        with pytest.raises(IndexError):
-            m.entry(i, j)
+    assert (m.row(1), m.column(1)) == ((3, 4), (2, 4))
     for i in (2, 5, -1):
         with pytest.raises(IndexError):
             m.row(i)
@@ -406,3 +415,10 @@ def test_matrix_validation():
         IntMatrix.from_columns([(1, 2, 3), (4, 5)])
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3, 4]]).apply((1, 2, 3))
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        IntMatrix(-1, 0, ())
+    with pytest.raises(ValueError, match=r"^shape mismatch: 2 vs 3$"):
+        IntMatrix.identity(2) @ IntMatrix.identity(3)
+    with pytest.raises(ValueError, match="non-square"):
+        IntMatrix(2, 3, (0,) * 6).det()
+    assert IntMatrix(0, 0, ()).det() == 1

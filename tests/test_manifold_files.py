@@ -146,6 +146,7 @@ def test_canonical_round_trip_is_byte_identical():
             lambda d: d["pieces"][0].update(genus=True), "pieces[0].genus", id="genus-bool"
         ),
         (lambda d: d["pieces"][0].update(framing=["a", "b"]), "pieces[0].framing"),
+        pytest.param(lambda d: d["pieces"][0].update(genus=1), "pieces[0]", id="disk-genus-1"),
         (lambda d: d["pieces"][0]["h1"].update(torsion=[1]), "pieces[0].h1"),
         (
             lambda d: d["pieces"][0].update(inclusion=[[1, 0], [0, 1]]),

@@ -11,7 +11,6 @@ from torusglue.pieces import (
     Piece,
     PieceKind,
     boundary_lambda,
-    can_extend,
     extension_certificate,
     sample_piece,
     torus_times_disk,
@@ -54,6 +53,21 @@ def test_boundary_lambda_examples():
 
 def test_piece_validation():
     knot = sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT)
+    disk = torus_times_disk()
+    with pytest.raises(ValueError, match="framing names three basis vectors"):
+        dataclasses.replace(knot, framing=("mu", "lambda"))
+    with pytest.raises(ValueError, match="inclusion must have 3 columns"):
+        dataclasses.replace(knot, inclusion=IntMatrix.from_rows([(1, 0), (0, 0)]))
+    with pytest.raises(ValueError, match="genus-0"):
+        dataclasses.replace(disk, genus=1)
+    with pytest.raises(ValueError, match="unknown kind"):
+        sample_piece("torus_times_disk")  # a kind name, not a PieceKind
+    with pytest.raises(ValueError, match=r"has H_1 = Z\^2"):
+        dataclasses.replace(
+            disk,
+            h1=AbelianGroup(3, ()),
+            inclusion=IntMatrix.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 0)]),
+        )
     with pytest.raises(ValueError):
         dataclasses.replace(knot, lambda_index=4)
     with pytest.raises(ValueError):
@@ -151,15 +165,20 @@ def test_declared_inclusion_must_kill_lambda(kind):
         dataclasses.replace(p, inclusion=IntMatrix.from_rows(rows))
 
 
-def test_can_extend_exhaustive_small_box():
-    # definitional: the fibration extends exactly when its covector kills lambda
+def test_extension_certificate_exactly_when_phi_kills_lambda():
+    # the kill rule: a certificate exists exactly when the covector kills lambda
     pieces = all_piece_fixtures()
     for v in itertools.product(range(-3, 4), repeat=3):
         if content(v) != 1 or sign_normalize(v) != v:
             continue
         fib = fibration_from_torus(TorusClass(v))
         for p in pieces:
-            assert can_extend(p, fib) == (dot(v, boundary_lambda(p).v) == 0)
+            lam = boundary_lambda(p)
+            if dot(v, lam.v) == 0:
+                assert extension_certificate(p, fib).lam == lam
+            else:
+                with pytest.raises(ExtensionObstructed):
+                    extension_certificate(p, fib)
 
 
 def test_extension_certificate_coordinate_case():
@@ -174,7 +193,6 @@ def test_extension_certificate_coordinate_case():
 def test_extension_certificate_obstructed():
     p = torus_times_disk()
     fib = fibration_from_torus(TorusClass.of((0, 0, 1)))
-    assert not can_extend(p, fib)
     with pytest.raises(ExtensionObstructed):
         extension_certificate(p, fib)
 
@@ -187,7 +205,7 @@ def test_extension_certificate_properties():
         v = random_primitive_vector(rng)
         fib = fibration_from_torus(TorusClass.of(v))
         for p in pieces:
-            if not can_extend(p, fib):
+            if dot(fib.phi, boundary_lambda(p).v) != 0:
                 continue
             cert = extension_certificate(p, fib)
             assert dot(fib.phi, cert.gamma.v) == 0

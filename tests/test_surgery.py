@@ -26,7 +26,6 @@ from torusglue.surgery import (
     classify_double_disk_gluing,
     generalized_fs_surgery,
     lens_class,
-    lens_equivalent,
     lens_normalize,
     obstruction_check,
     unknot_torus_surgery,
@@ -59,6 +58,8 @@ def test_lens_space_validation():
         LensSpace(3, 3)
     with pytest.raises(ValueError):
         LensSpace(0, 0)
+    with pytest.raises(ValueError, match=r"^normalized q is nonnegative$"):
+        LensSpace(-3, 1)
     with pytest.raises(NotCoprime):
         LensSpace(4, 2)
     with pytest.raises(ValueError, match=r"^p = 5 not reduced mod q = 1$"):
@@ -88,34 +89,27 @@ def all_normalized(q):
     return [LensSpace(q, p) for p in range(q) if math.gcd(p, q) == 1]
 
 
-def test_lens_equivalent_examples():
-    # 2 * 4 = 8 = 1 mod 7, so (7,2) and (7,4) are inverse-related
-    assert lens_equivalent(LensSpace(7, 2), LensSpace(7, 4))
+def test_lens_class_examples():
+    # 2 * 4 = 8 = 1 mod 7, so (7,2) and (7,4) are inverse-related;
     # 2 * 3 = 6 = -1 mod 7, so (7,3) is the negative inverse of (7,2)
-    assert lens_equivalent(LensSpace(7, 2), LensSpace(7, 3))
-    # the classical inequivalent pair
-    assert not lens_equivalent(LensSpace(7, 1), LensSpace(7, 2))
-    assert lens_equivalent(LensSpace(5, 1), LensSpace(5, 1))
-    assert not lens_equivalent(LensSpace(5, 1), LensSpace(7, 1))
     assert lens_class(LensSpace(7, 4)) == lens_class(LensSpace(7, 3)) == LensSpace(7, 2)
+    # the classical inequivalent pair
+    assert lens_class(LensSpace(7, 1)) != lens_class(LensSpace(7, 2))
     assert lens_class(LensSpace(7, 6)) == LensSpace(7, 1)
+    assert lens_class(LensSpace(5, 1)) == LensSpace(5, 1)
     assert lens_class(LensSpace(0, 1)) == LensSpace(0, 1)
 
 
-def test_lens_equivalent_matches_oracle_and_is_equivalence():
+def test_lens_class_matches_oracle_and_is_idempotent():
     for q in range(0, 31):
         spaces = all_normalized(q)
         for a in spaces:
-            assert lens_equivalent(a, a)
             cls = lens_class(a)
+            assert lens_class(cls) == cls
             assert congruence_oracle(q, a.p, cls.p)
             assert cls.p == min(b.p for b in spaces if congruence_oracle(q, a.p, b.p))
             for b in spaces:
-                assert lens_equivalent(a, b) == congruence_oracle(q, a.p, b.p)
-                assert lens_equivalent(a, b) == lens_equivalent(b, a)
-                for c in spaces:
-                    if lens_equivalent(a, b) and lens_equivalent(b, c):
-                        assert lens_equivalent(a, c)
+                assert (cls == lens_class(b)) == congruence_oracle(q, a.p, b.p)
 
 
 def test_surgery_spec_validation():

@@ -55,6 +55,8 @@ def test_class_normalization():
         CurveClass.of((0, 0, 0))
     with pytest.raises(ValueError):
         CurveClass((-1, 0, 0))  # direct construction requires normalized input
+    with pytest.raises(ValueError, match=r"is not in Z\^3"):
+        CurveClass((1, 0))
     assert sign_normalize((0, -2, 4)) == (0, 2, -4)
     assert sign_normalize([0, 0, 3]) == (0, 0, 3)
     with pytest.raises(ValueError, match="zero vector"):
@@ -136,6 +138,8 @@ def test_fibration_validation():
         FibrationOfT3(phi=(0, 0, 1), fiber_basis=((2, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError):
         FibrationOfT3(phi=(0, 0, 1), fiber_basis=((1, 1, 0), (-2, -2, 0)))
+    with pytest.raises(NonPrimitive):
+        FibrationOfT3(phi=(2, 0, 0), fiber_basis=((0, 1, 0), (0, 0, 1)))
     # either orientation of a kernel basis is accepted
     FibrationOfT3(phi=(0, 0, 1), fiber_basis=((0, 1, 0), (1, 0, 0)))
 
@@ -195,6 +199,8 @@ def test_act_examples():
         act(IntMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), c)
     with pytest.raises(NotUnimodular):
         act(IntMatrix.identity(2), c)
+    with pytest.raises(TypeError, match="cannot act on tuple"):
+        act(IntMatrix.identity(3), (1, 0, 0))
 
 
 def test_act_properties():
