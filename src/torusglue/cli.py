@@ -286,7 +286,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ManifoldFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .gluing import FibrationResult, GluedManifold, GluingMap, find_fibration, glue
 from .invariants import euler_characteristic_glued, mayer_vietoris_h1
@@ -21,8 +21,8 @@ from .torus3 import is_sign_normalized
 # only orbit representatives are classified: 62 rows at N = 1, 1,077 at
 # N = 2, but 10,055 at N = 3, where a disk-pair sweep of enumerate_gluings
 # plus check in one process takes about 33 x perfbench.run.calibration_s(),
-# 2.8 x of it in the generator (timed around each next; median of 5 runs,
-# 31-46 x, Python 3.11.7 on 2 CPUs, calibration 0.09-0.12 s), so stay
+# 2.6 x of it in the generator (timed around each next; median of 5 runs,
+# 32-39 x, Python 3.11.7 on 2 CPUs, calibration 0.08-0.10 s), so stay
 # desk-scale
 MAX_ENUMERATION_ENTRY = 2
 
@@ -54,7 +54,8 @@ def check(x: GluedManifold) -> Verdict:
     closed-form reading of the glued meridian v = f(lambda'): q is the gcd
     of v's two entries off the first piece's lambda axis, p = v's lambda
     entry mod q.  Any other pair is fibered over the circle, consistent when
-    chi = 0, as for every manifold that fibers over S^1.
+    chi = 0; but chi = 0 holds for every gluing by theorem, so for those
+    eight kind pairs the verdict has no independent check yet.
     """
     h1 = mayer_vietoris_h1(x)
     chi = euler_characteristic_glued(x)
@@ -113,23 +114,6 @@ def _is_orbit_least(entries: tuple[int, ...], node: dict, k: int = 0) -> bool:
     return True
 
 
-def _rows_completing(c: Sequence[int], rng: range) -> Iterator[tuple[int, int, int]]:
-    """Every row r in rng^3 with r . c = +-1, in lexicographic order."""
-    c0, c1, c2 = c
-    targets = (-1, 1) if c2 > 0 else (1, -1)  # ascending z when c2 != 0
-    for x, y in itertools.product(rng, repeat=2):
-        partial = x * c0 + y * c1
-        if c2 == 0:
-            if partial in (1, -1):
-                for z in rng:
-                    yield (x, y, z)
-            continue
-        for t in targets:
-            z, rem = divmod(t - partial, c2)
-            if rem == 0 and z in rng:
-                yield (x, y, z)
-
-
 def enumerate_gluings(
     max_entry: int, w: Piece, w_prime: Piece
 ) -> Iterator[GluedManifold]:
@@ -142,11 +126,11 @@ def enumerate_gluings(
     same manifold.  Representatives are the lexicographically least orbit
     members, streamed in lexicographic order of their entries.
 
-    Only unimodular matrices are generated, row by row: a primitive r1, an
-    r2 whose cross product c = r1 x r2 is primitive, and every r3 in the box
-    with r3 . c = +-1 (that dot product is the determinant).  Exact
-    prefilters reject a candidate as soon as the rows chosen so far show a
-    smaller orbit member:
+    Only unimodular matrices are generated, row by row, each row taken from
+    one list of the box's primitive rows: r1, an r2 whose cross product
+    c = r1 x r2 is primitive, and every r3 with r3 . c = +-1 (that dot
+    product is the determinant).  Exact prefilters reject a candidate as
+    soon as the rows chosen so far show a smaller orbit member:
     - No row is sign-normalized (first nonzero entry positive): flipping
       its sign is a symmetry.
     - r1 is its own least image under the column symmetries, which is
@@ -178,11 +162,12 @@ def enumerate_gluings(
         for r2 in rows:
             if any(r2[j] > 0 for j in zeros) or (swap == 1 and least[r2] < r1):
                 continue
-            c = cross(r1, r2)
+            c0, c1, c2 = c = cross(r1, r2)
             if not is_primitive(c):
                 continue
-            for r3 in _rows_completing(c, rng):
-                if is_sign_normalized(r3) or (swap == 2 and least[r3] < r1):
+            for r3 in rows:
+                det = r3[0] * c0 + r3[1] * c1 + r3[2] * c2
+                if det not in (1, -1) or (swap == 2 and least[r3] < r1):
                     continue
                 entries = (*r1, *r2, *r3)
                 if _is_orbit_least(entries, orbit):

@@ -110,8 +110,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, cols: Iterable[Sequence[int]]) -> "IntMatrix":
-        cols = [tuple(c) for c in cols]
-        return cls.from_rows(zip(*cols, strict=True)) if cols else cls(0, 0, ())
+        return cls.from_rows(zip(*cols, strict=True))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -381,8 +380,7 @@ def solve(a: IntMatrix, b: Sequence[int]) -> Vec | None:
         else:
             if c[i] % di != 0:
                 return None
-            if i < a.cols:
-                y[i] = c[i] // di
+            y[i] = c[i] // di
     return snf.V.apply(y)
 
 

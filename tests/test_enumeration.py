@@ -4,6 +4,9 @@ The reference below is the original implementation: scan every entry tuple
 in [-N, N]^9 in lexicographic order, keep the unimodular ones, and remember
 every orbit member of each kept matrix so later members are skipped.  The
 generator must yield exactly the same matrices in exactly the same order.
+Above N = 1, where the scan is too slow, recorded digests pin the sequence,
+and an orbit count checks it independently: the orbits of the yielded
+matrices must together hold every unimodular matrix of the box.
 """
 
 from __future__ import annotations
@@ -102,6 +105,25 @@ def _generated_entries(max_entry, left_index, right_index):
     return [x.f.m.entries for x in enumerate_gluings(max_entry, w, w_prime)]
 
 
+def _unimodular_count(max_entry):
+    """The number of unimodular 3x3 matrices with entries in [-N, N], with
+    no symmetry logic: for each pair of lower rows with cofactor vector c,
+    the first rows r1 of the box with r1 . c = +-1.  That number depends
+    only on the sorted |c|, since the box is symmetric."""
+    box = list(itertools.product(range(-max_entry, max_entry + 1), repeat=3))
+    completions = {}
+    total = 0
+    for (a1, a2, a3), (b1, b2, b3) in itertools.product(box, repeat=2):
+        c = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        key = tuple(sorted(map(abs, c)))
+        if key not in completions:
+            completions[key] = sum(
+                abs(r[0] * key[0] + r[1] * key[1] + r[2] * key[2]) == 1 for r in box
+            )
+        total += completions[key]
+    return total
+
+
 def _digest(sequence):
     h = hashlib.sha256()
     for entries in sequence:
@@ -132,6 +154,32 @@ def test_sequence_digest_at_4(left_index, right_index):
     sequence = _generated_entries(4, left_index, right_index)
     assert len(sequence) == 40_647
     assert _digest(sequence) == DIGESTS_AT_4[left_index, right_index]
+
+
+UNIMODULAR_COUNTS = {1: 6_960, 2: 135_408}
+
+
+@pytest.mark.parametrize("max_entry", UNIMODULAR_COUNTS)
+def test_unimodular_count(max_entry):
+    assert _unimodular_count(max_entry) == UNIMODULAR_COUNTS[max_entry]
+
+
+@pytest.mark.parametrize(
+    "max_entry,left_index,right_index",
+    [(1, *pair) for pair in LAMBDA_PAIRS] + [(2, 2, 1), (2, 3, 2), (2, 1, 1)],
+)
+def test_orbits_of_the_representatives_cover_every_unimodular_matrix(
+    max_entry, left_index, right_index
+):
+    # orbit-stabilizer: the representatives' orbits partition the box's
+    # unimodular matrices, so a dropped or doubled representative shows
+    left = _reference_signed_permutations_fixing(left_index - 1)
+    right = _reference_signed_permutations_fixing(right_index - 1)
+    sizes = [
+        len(set(_reference_orbit(entries, left, right)))
+        for entries in _generated_entries(max_entry, left_index, right_index)
+    ]
+    assert sum(sizes) == UNIMODULAR_COUNTS[max_entry]
 
 
 def test_least_members_lead_every_row_and_column_with_a_negative_entry():

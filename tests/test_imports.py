@@ -5,7 +5,8 @@ root re-exports is defined in the module it is imported from, so a deletion
 cannot leave a stale import or helper, and nothing outside the standard
 library is imported.  Two more checks keep properties structural: the
 homology verifier takes only data types from the fibration engine, and no
-code runs differently under `python -O`."""
+code runs differently under `python -O`.  The package has one module entry
+point, `__main__.py`."""
 
 import ast
 import sys
@@ -132,3 +133,18 @@ def test_no_code_depends_on_assertions_being_enabled(path):
         if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
     assert uses == []
+
+
+def _runs_as_script(tree: ast.Module) -> bool:
+    """Whether the module has an `if __name__ == "__main__":` block."""
+    return any(
+        isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        for node in tree.body
+    )
+
+
+def test_the_package_has_one_module_entry_point():
+    # `python -m torusglue` and the console script both reach cli.main
+    # through __main__.py; no other module runs as a script
+    scripts = [p.name for p in sorted(PACKAGE.glob("*.py")) if _runs_as_script(_tree(p))]
+    assert scripts == ["__main__.py"]

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 import math
 import random
 
 import pytest
 
-from torusglue.gluing import GluingMap, glue
+from torusglue import enumeration, gluing, pieces, surgery, torus3
+from torusglue.enumeration import enumerate_gluings, pieces_for_kinds
+from torusglue.gluing import GluingMap, find_fibration, glue
 from torusglue.invariants import (
     MissingH1Data,
     euler_characteristic_glued,
@@ -19,6 +22,7 @@ from torusglue.pieces import (
     torus_times_disk,
 )
 from torusglue.surgery import SurgerySpec, unknot_torus_surgery
+from torusglue.torus3 import ParallelCurves
 
 from conftest import random_lambda_stabilizer, random_unimodular
 
@@ -147,3 +151,21 @@ def test_chi_glued_is_zero():
             GluingMap(random_unimodular(rng)),
         )
         assert euler_characteristic_glued(x) == 0
+
+
+def test_the_verifier_does_not_use_the_engine_cross_product(monkeypatch):
+    # every N = 1 gluing of every kind pair, built before the fault, since
+    # GluingMap checks its determinant with the engine's cross product
+    manifolds = [
+        x
+        for kinds in itertools.product(PieceKind, repeat=2)
+        for x in enumerate_gluings(1, *pieces_for_kinds(*kinds))
+    ]
+    assert len(manifolds) == 9 * 62
+    groups = [mayer_vietoris_h1(x) for x in manifolds]
+    for module in (torus3, pieces, gluing, surgery, enumeration):
+        monkeypatch.setattr(module, "cross", lambda a, b: (0, 0, 0))
+    assert [mayer_vietoris_h1(x) for x in manifolds] == groups
+    for x in manifolds:
+        with pytest.raises(ParallelCurves):
+            find_fibration(x)

@@ -135,40 +135,84 @@ def test_canonical_round_trip_is_byte_identical():
 
 
 @pytest.mark.parametrize(
-    "mutate, field",
+    "mutate, message",
     [
-        (lambda d: d.update(version="7"), "version"),
-        (lambda d: d.update(pieces=d["pieces"][:1]), "pieces"),
-        (lambda d: d["pieces"][0].update(kind="mystery"), "pieces[0].kind"),
-        (lambda d: d["pieces"][1].update(lambda_index=5), "pieces[1]"),
-        (lambda d: d["pieces"][0].update(genus="x"), "pieces[0].genus"),
-        pytest.param(
-            lambda d: d["pieces"][0].update(genus=True), "pieces[0].genus", id="genus-bool"
+        (lambda d: d.update(version="7"), "version: unsupported version '7'; expected '1'"),
+        (
+            lambda d: d.update(pieces=d["pieces"][:1]),
+            "pieces: expected exactly two pieces, got 1",
         ),
-        (lambda d: d["pieces"][0].update(framing=["a", "b"]), "pieces[0].framing"),
-        pytest.param(lambda d: d["pieces"][0].update(genus=1), "pieces[0]", id="disk-genus-1"),
-        (lambda d: d["pieces"][0]["h1"].update(torsion=[1]), "pieces[0].h1"),
+        (
+            lambda d: d["pieces"][0].update(kind="mystery"),
+            "pieces[0].kind: unknown kind 'mystery'; one of: knot_exterior_product, "
+            "surface_bundle_over_torus, torus_times_disk",
+        ),
+        (
+            lambda d: d["pieces"][1].update(lambda_index=5),
+            "pieces[1]: lambda_index 5 not in 1..3",
+        ),
+        (
+            lambda d: d["pieces"][0].update(genus="x"),
+            "pieces[0].genus: expected an integer, got str",
+        ),
+        pytest.param(
+            lambda d: d["pieces"][0].update(genus=True),
+            "pieces[0].genus: expected an integer, got bool",
+            id="genus-bool",
+        ),
+        (
+            lambda d: d["pieces"][0].update(framing=["a", "b"]),
+            "pieces[0].framing: expected three strings",
+        ),
+        pytest.param(
+            lambda d: d["pieces"][0].update(genus=1),
+            "pieces[0]: T^2 x D^2 has a genus-0 (disk) fiber",
+            id="disk-genus-1",
+        ),
+        (
+            lambda d: d["pieces"][0].update(
+                h1={"free_rank": 3, "torsion": []}, inclusion=[[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+            ),
+            "pieces[0]: T^2 x D^2 has H_1 = Z^2",
+        ),
+        (
+            lambda d: d["pieces"][0]["h1"].update(torsion=[1]),
+            "pieces[0].h1: invariant factor 1 < 2",
+        ),
         (
             lambda d: d["pieces"][0].update(inclusion=[[1, 0], [0, 1]]),
-            "pieces[0].inclusion[0]",
+            "pieces[0].inclusion[0]: expected 3 entries, got 2",
         ),
-        (lambda d: d["gluing"].update(matrix=[[2, 0, 0], [0, 1, 0], [0, 0, 1]]), "gluing.matrix"),
-        (lambda d: d["gluing"].update(matrix=[[1, 0, 0], [0, 1, 0]]), "gluing.matrix"),
-        (lambda d: d.update(gluing="nope"), "gluing"),
-        (lambda d: d.update(metadata=7), "metadata"),
+        (
+            lambda d: d["gluing"].update(matrix=[[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            "gluing.matrix: gluing matrix has determinant 2",
+        ),
+        (
+            lambda d: d["gluing"].update(matrix=[[1, 0, 0], [0, 1, 0]]),
+            "gluing.matrix: gluing matrix must be 3x3",
+        ),
+        (lambda d: d.update(gluing="nope"), "gluing: expected an object, got str"),
+        (lambda d: d.update(metadata=7), "metadata: expected an object, got int"),
         pytest.param(
-            lambda d: d.update(metadata={"x": float("nan")}), "metadata", id="metadata-nan"
+            lambda d: d.update(metadata={"x": float("nan")}),
+            "metadata: not plain JSON: ",
+            id="metadata-nan",
         ),
     ],
+    ids=lambda v: v.partition(":")[0] if isinstance(v, str) else None,
 )
-def test_parse_errors_name_the_field(mutate, field):
+def test_parse_errors_name_the_field(mutate, message):
+    # the whole message is checked, so a piece that fails the wrong check
+    # fails the test; the case is named by its field
     doc = json.loads(example_file())
     mutate(doc)
     with pytest.raises(ManifoldFileError) as err:
         parse_manifold_file(json.dumps(doc))
-    assert err.value.field_path == field
-    if doc["pieces"][0].get("genus") is True:
-        assert str(err.value) == "pieces[0].genus: expected an integer, got bool"
+    assert err.value.field_path == message.partition(":")[0]
+    if message.endswith(": "):  # the json module's own text follows
+        assert str(err.value).startswith(message)
+    else:
+        assert str(err.value) == message
 
 
 def test_parse_error_on_bad_json():

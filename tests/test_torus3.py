@@ -131,14 +131,19 @@ def test_fibration_uniqueness():
 
 
 def test_fibration_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^fiber_basis \(1, 0, 0\), \(0, 0, 1\) is not a basis of ker \(0, 0, 1\)$"
+    ):
+        # (0, 0, 1) is off the kernel
         FibrationOfT3(phi=(0, 0, 1), fiber_basis=((1, 0, 0), (0, 0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^fiber_basis \(2, 0, 0\), \(0, 1, 0\) is not a basis of ker \(0, 0, 1\)$"
+    ):
         # spans only an index-2 sublattice of the kernel
         FibrationOfT3(phi=(0, 0, 1), fiber_basis=((2, 0, 0), (0, 1, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a basis of ker"):
         FibrationOfT3(phi=(0, 0, 1), fiber_basis=((1, 1, 0), (-2, -2, 0)))
-    with pytest.raises(NonPrimitive):
+    with pytest.raises(NonPrimitive, match="content != 1"):
         FibrationOfT3(phi=(2, 0, 0), fiber_basis=((0, 1, 0), (0, 0, 1)))
     # either orientation of a kernel basis is accepted
     FibrationOfT3(phi=(0, 0, 1), fiber_basis=((0, 1, 0), (1, 0, 0)))
