@@ -2,9 +2,8 @@
 
 Everything downstream reduces to small integer-matrix computations: gcds
 and primitive vectors, Smith normal form together with its unimodular
-transforms, cokernels presented as abelian groups, and saturation of a
-sublattice.  All arithmetic is arbitrary precision; no floating point
-anywhere.
+transforms, and cokernels presented as abelian groups.  All arithmetic is
+arbitrary precision; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -45,9 +44,10 @@ def is_primitive(v: Sequence[int]) -> bool:
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(map(mul, a, b))
+    """Pairing of two vectors of Z^3."""
+    if len(a) != 3 or len(b) != 3:
+        raise ValueError(f"dot product needs length-3 vectors, got {len(a)} and {len(b)}")
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def cross(a: Sequence[int], b: Sequence[int]) -> Vec:
@@ -129,9 +129,6 @@ class IntMatrix:
     def to_rows(self) -> tuple[Vec, ...]:
         e, c = self.entries, self.cols
         return tuple(e[k * c : (k + 1) * c] for k in range(self.rows))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(self.column(j) for j in range(self.cols))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -383,24 +380,3 @@ def solve(a: IntMatrix, b: Sequence[int]) -> Vec | None:
             y[i] = c[i] // di
     return snf.V.apply(y)
 
-
-def saturate(vectors: Iterable[Sequence[int]]) -> list[Vec]:
-    """A basis of the saturation of the span of the given vectors.
-
-    The saturation is the smallest sublattice containing the span whose
-    quotient is torsion-free.  With U A V = D for the matrix A of input rows,
-    the rows of A are integer combinations of d_i * (row i of V^-1), so the
-    rows of V^-1 at nonzero diagonal positions are a basis.  Vectors have
-    length 3, the size unimodular_inverse handles; any other raises
-    ValueError.
-    """
-    rows = [tuple(r) for r in vectors]
-    if not rows:
-        return []
-    for r in rows:
-        if len(r) != 3:
-            raise ValueError(f"saturate takes vectors of length 3, got {r}")
-    a = IntMatrix.from_rows(rows)
-    snf = smith_normal_form(a)
-    v_inv = unimodular_inverse(snf.V)
-    return [v_inv.row(i) for i, di in enumerate(snf.diagonal) if di != 0]

@@ -11,7 +11,7 @@ lattice is ker n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .lattice import (
     IntMatrix,
@@ -23,7 +23,6 @@ from .lattice import (
     dot,
     is_primitive,
     kernel_basis,
-    unimodular_inverse,
     xgcd,
 )
 
@@ -179,16 +178,3 @@ def dual_curve(fib: FibrationOfT3) -> CurveClass:
         raise AssertionError(f"sign normalization gave {d}, which pairs to {dot(n, d)} with {n}")
     return CurveClass(tuple(d))
 
-
-def act(m: IntMatrix, x: Union[CurveClass, TorusClass]) -> Union[CurveClass, TorusClass]:
-    """Mapping-class action of a unimodular matrix on curve and torus classes.
-
-    Curves transform by the matrix itself, torus covectors by the inverse
-    transpose, so containment and duality pairings are preserved.
-    """
-    inv = unimodular_inverse(m)  # raises NotUnimodular for any other matrix
-    if isinstance(x, CurveClass):
-        return CurveClass.of(m.apply(x.v))
-    if isinstance(x, TorusClass):
-        return TorusClass.of(inv.transpose().apply(x.n))
-    raise TypeError(f"cannot act on {type(x).__name__}")

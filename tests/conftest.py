@@ -10,7 +10,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from torusglue.lattice import IntMatrix, content
+from torusglue.lattice import IntMatrix, content, cross, dot
 from torusglue.torus3 import CurveClass
 
 
@@ -105,6 +105,19 @@ def minors_gcd(m: IntMatrix, k: int) -> int:
         if g == 1:
             return g  # the gcd can only stay 1
     return g
+
+
+def in_span(v, b1, b2) -> bool:
+    """Independent oracle: v is an integer combination of the independent
+    vectors b1, b2 of Z^3.  With c = b1 x b2, Cramer's rule reads the
+    coefficients off v x b2 = x c and b1 x v = y c.  Integer x, y that
+    rebuild v prove membership whatever computed them, and for a vector off
+    the plane or a fractional combination no integers do."""
+    c = cross(b1, b2)
+    cc = dot(c, c)
+    x = dot(cross(v, b2), c) // cc
+    y = dot(cross(b1, v), c) // cc
+    return all(x * s + y * t == u for s, t, u in zip(b1, b2, v))
 
 
 def congruence_oracle(q: int, p: int, p2: int) -> bool:

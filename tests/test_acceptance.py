@@ -18,11 +18,10 @@ from torusglue.lattice import (
     AbelianGroup,
     IntMatrix,
     content,
+    cross,
     dot,
     is_primitive,
-    saturate,
     smith_normal_form,
-    solve,
 )
 from torusglue.pieces import PieceKind, boundary_lambda, sample_piece
 from torusglue.surgery import (
@@ -34,7 +33,7 @@ from torusglue.surgery import (
 )
 from torusglue.torus3 import CurveClass, fibration_from_torus, sign_normalize, torus_through
 
-from conftest import congruence_oracle, coprime_slopes, minors_gcd, random_unimodular
+from conftest import congruence_oracle, coprime_slopes, in_span, minors_gcd, random_unimodular
 
 DISK_PAIR_ROWS_AT_1 = 62  # pinned from the first full run of the N=1 enumeration
 
@@ -108,17 +107,15 @@ def test_criterion_4_kernel_equals_saturation(capsys):
             ok = cache.get(key)
             if ok is None:
                 # both sides depend only on the unordered pair of classes
-                fib = fibration_from_torus(
+                b1, b2 = fibration_from_torus(
                     torus_through(CurveClass(key[0]), CurveClass(key[1]))
-                )
-                sat = saturate([key[0], key[1]])
-                span = IntMatrix.from_columns(sat)
+                ).fiber_basis
+                # a rank-2 lattice is the saturation of span(a, b) exactly
+                # when it contains a and b and is itself saturated
                 ok = (
-                    len(sat) == 2
-                    # saturation inside the kernel ...
-                    and all(dot(fib.phi, s) == 0 for s in sat)
-                    # ... and the kernel inside the saturation
-                    and all(solve(span, v) is not None for v in fib.fiber_basis)
+                    in_span(key[0], b1, b2)
+                    and in_span(key[1], b1, b2)
+                    and content(cross(b1, b2)) == 1
                 )
                 cache[key] = ok
             assert ok, key

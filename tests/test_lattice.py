@@ -18,7 +18,6 @@ from torusglue.lattice import (
     dot,
     is_primitive,
     kernel_basis,
-    saturate,
     smith_normal_form,
     solve,
     unimodular_inverse,
@@ -26,7 +25,7 @@ from torusglue.lattice import (
 )
 from torusglue.torus3 import CurveClass, FibrationOfT3, TorusClass
 
-from conftest import minors_gcd, random_unimodular
+from conftest import in_span, minors_gcd, random_unimodular
 
 
 def assert_snf_invariants(a: IntMatrix) -> None:
@@ -185,8 +184,19 @@ def test_cross_examples():
 
 def test_dot_examples():
     assert dot((1, 2, 3), (4, -5, 6)) == 12
-    with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):
+    with pytest.raises(ValueError, match=r"^dot product needs length-3 vectors, got 2 and 3$"):
         dot((1, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match=r"got 4 and 4$"):
+        dot((1, 0, 0, 0), (1, 0, 0, 0))
+
+
+def test_in_span_oracle():
+    # the membership oracle of the kernel-equals-saturation checks
+    assert in_span((3, -2, 0), (1, 0, 0), (0, 1, 0))
+    assert in_span((-1, -3, 2), (1, 1, 0), (0, 1, -1))  # -1 * b1 - 2 * b2
+    assert in_span((0, 0, 0), (2, 0, 0), (0, 2, 0))
+    assert not in_span((1, 1, 0), (2, 0, 0), (0, 2, 0))  # half-integer coefficients
+    assert not in_span((0, 0, 1), (1, 0, 0), (0, 1, 0))  # off the plane
 
 
 @given(vectors3, vectors3)
@@ -280,47 +290,6 @@ def test_abelian_group_validation():
     assert str(AbelianGroup(1, (3,))) == "Z + Z/3"
     assert str(AbelianGroup(2, ())) == "Z^2"
     assert str(AbelianGroup(0, ())) == "0"
-
-
-def test_saturate_examples():
-    assert saturate([(2, 0, 0)]) == [(1, 0, 0)]
-    assert saturate([]) == []
-    assert saturate([(0, 0, 0)]) == []
-    # a vector of another length is named, not a matrix built from it
-    with pytest.raises(ValueError, match=r"^saturate takes vectors of length 3, got \(1, 2\)$"):
-        saturate([(1, 2)])
-    with pytest.raises(ValueError, match=r"got \(0, 1, 0, 0\)$"):
-        saturate([(1, 0, 0), (0, 1, 0, 0)])
-
-
-def test_saturate_coordinate_plane():
-    basis = saturate([(1, 0, 0), (0, 2, 0)])
-    assert len(basis) == 2
-    m = IntMatrix.from_columns(basis)
-    # membership brute force: the saturation is the whole plane z = 0
-    for x in range(-3, 4):
-        for y in range(-3, 4):
-            assert solve(m, (x, y, 0)) is not None
-    assert all(v[2] == 0 for v in basis)
-
-
-@given(st.lists(vectors3, max_size=4))
-def test_saturate_properties(vecs):
-    basis = saturate(vecs)
-    again = saturate(basis)
-    # saturating again spans the same lattice: each basis solves in the other
-    for old, new in [(basis, again), (again, basis)]:
-        if old:
-            m = IntMatrix.from_columns(old)
-            assert all(solve(m, v) is not None for v in new)
-    # one basis vector per nonzero invariant factor of the inputs
-    assert len(basis) == sum(1 for d in smith_normal_form(IntMatrix.from_rows(vecs)).diagonal if d)
-    if basis:
-        # the quotient by the saturation is torsion-free: all invariant factors 1
-        assert set(smith_normal_form(IntMatrix.from_rows(basis)).diagonal) == {1}
-        m = IntMatrix.from_columns(basis)
-        for v in vecs:
-            assert solve(m, v) is not None  # inputs are integer combinations
 
 
 def test_solve():
