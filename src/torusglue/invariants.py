@@ -35,21 +35,22 @@ def h1_presentation(x: GluedManifold) -> IntMatrix:
     boundary class, then one per declared torsion factor."""
     h1_w, incl_w = _declared(x.w, "first")
     h1_wp, incl_wp = _declared(x.w_prime, "second")
-    rows_w = incl_w.rows
-    gens = rows_w + incl_wp.rows
-
-    f_inv = unimodular_inverse(x.f.m)
-    bottom = incl_wp @ f_inv
-    columns: list[tuple[int, ...]] = []
-    for j in range(3):
-        col_top = incl_w.column(j)
-        col_bot = tuple(-v for v in bottom.column(j))
-        columns.append(col_top + col_bot)
-    for first_row, h1 in ((0, h1_w), (rows_w, h1_wp)):
+    e = unimodular_inverse(x.f.m).entries
+    rows = [list(r) for r in incl_w.to_rows()]
+    rows += [  # -(r @ f^-1), written out, for each row r of the second inclusion
+        [
+            -(a * e[0] + b * e[3] + c * e[6]),
+            -(a * e[1] + b * e[4] + c * e[7]),
+            -(a * e[2] + b * e[5] + c * e[8]),
+        ]
+        for a, b, c in incl_wp.to_rows()
+    ]
+    for first_row, h1 in ((0, h1_w), (incl_w.rows, h1_wp)):
         for k, factor in enumerate(h1.torsion):
-            row = first_row + h1.free_rank + k
-            columns.append(tuple(factor if i == row else 0 for i in range(gens)))
-    return IntMatrix.from_columns(columns)
+            relator = first_row + h1.free_rank + k
+            for i, r in enumerate(rows):
+                r.append(factor if i == relator else 0)
+    return IntMatrix.from_rows(rows)
 
 
 def mayer_vietoris_h1(x: GluedManifold) -> AbelianGroup:

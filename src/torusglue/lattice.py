@@ -256,23 +256,24 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
                     r[j] += k * r[t]
                 for r in v:
                     r[j] += k * r[t]
-        if any(d[i][t] for i in range(t + 1, m)) or any(dt[t + 1 :]):
-            continue  # residue smaller than the pivot appeared; redo
-        # cross is clear; enforce divisibility of the rest by the pivot
-        for i in range(t + 1, m):
-            di = d[i]
-            if any(di[j] % pivot for j in range(t + 1, n)):
+        if pivot not in (1, -1):  # a unit pivot clears its cross and divides every entry
+            if any(d[i][t] for i in range(t + 1, m)) or any(dt[t + 1 :]):
+                continue  # residue smaller than the pivot appeared; redo
+            # cross is clear; enforce divisibility of the rest by the pivot
+            i = next(
+                (i for i in range(t + 1, m) if any(d[i][j] % pivot for j in range(t + 1, n))), 0
+            )
+            if i:
+                di, ui = d[i], u[i]
                 for c in range(t, n):  # row t += row i
                     dt[c] += di[c]
-                ui = u[i]
                 for c in range(m):
                     ut[c] += ui[c]
-                break
-        else:
-            if pivot < 0:
-                d[t] = [-x for x in dt]
-                u[t] = [-x for x in ut]
-            t += 1
+                continue
+        if pivot < 0:
+            d[t] = [-x for x in dt]
+            u[t] = [-x for x in ut]
+        t += 1
 
     return SNFDecomposition(
         U=IntMatrix(m, m, tuple(chain.from_iterable(u))),

@@ -22,14 +22,18 @@ Schema (version "1"):
 
 The gluing matrix expresses the second piece's boundary basis in the first
 piece's coordinates and must have determinant +-1.  Serialization is
-canonical (sorted keys, two-space indent, trailing newline), so files
-written by serialize_manifold_file round-trip byte-identically.
+canonical: the text of a file is json.dumps(doc, indent=2, sort_keys=True)
+plus a newline, doc being the file as the nested dicts and lists above, so
+files written by serialize_manifold_file round-trip byte-identically.  The
+writer lays that text out itself from the schema; the tests check it
+against json.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .gluing import GluingMap
@@ -47,14 +51,19 @@ class ManifoldFileError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-def _expect(obj: Any, typ: type, path: str, what: str) -> Any:
-    if not isinstance(obj, typ) or isinstance(obj, bool) and typ is int:
+def _expect(obj: Any, typ: type, what: str, path: str, *keys: str | int) -> Any:
+    """obj if it is a typ (a bool is no int); else the error naming the field,
+    path with keys appended, as in ("pieces[0]", "h1", "torsion", 2) ->
+    pieces[0].h1.torsion[2], formatted only then."""
+    if not isinstance(obj, typ) or typ is int and isinstance(obj, bool):
+        for key in keys:
+            path += f"[{key}]" if isinstance(key, int) else f".{key}"
         raise ManifoldFileError(path, f"expected {what}, got {type(obj).__name__}")
     return obj
 
 
 def _version(obj: Any) -> str:
-    version = _expect(obj, str, "version", "a version string")
+    version = _expect(obj, str, "a version string", "version")
     if version != FORMAT_VERSION:
         raise ManifoldFileError("version", f"unsupported version {version!r}; expected {FORMAT_VERSION!r}")
     return version
@@ -80,9 +89,9 @@ class ManifoldFile:
             and all(isinstance(p, Piece) for p in pieces)
         ):
             raise ManifoldFileError("pieces", f"expected a pair of Piece, got {pieces!r:.80}")
-        _expect(self.gluing, GluingMap, "gluing", "a GluingMap")
-        _expect(self.orientation_note, str, "gluing.orientation_note", "a string")
-        _expect(self.metadata, dict, "metadata", "an object")
+        _expect(self.gluing, GluingMap, "a GluingMap", "gluing")
+        _expect(self.orientation_note, str, "a string", "gluing.orientation_note")
+        _expect(self.metadata, dict, "an object", "metadata")
         # plain JSON reads back equal to itself: a non-string key comes back
         # a string, a tuple a list, and a set or a NaN does not encode
         try:
@@ -93,50 +102,49 @@ class ManifoldFile:
             raise ManifoldFileError("metadata", "not plain JSON: a non-string key or a tuple")
 
 
-def _int_rows(obj: Any, path: str) -> IntMatrix:
-    rows = _expect(obj, list, path, "a list of rows")
+def _int_rows(obj: Any, path: str, key: str) -> IntMatrix:
+    rows = _expect(obj, list, "a list of rows", path, key)
     entries = []
     for i, row in enumerate(rows):
-        row = _expect(row, list, f"{path}[{i}]", "a list of integers")
+        row = _expect(row, list, "a list of integers", path, key, i)
         if len(row) != 3:
-            raise ManifoldFileError(f"{path}[{i}]", f"expected 3 entries, got {len(row)}")
-        entries += [_expect(x, int, f"{path}[{i}][{j}]", "an integer") for j, x in enumerate(row)]
+            raise ManifoldFileError(f"{path}.{key}[{i}]", f"expected 3 entries, got {len(row)}")
+        for j, x in enumerate(row):
+            _expect(x, int, "an integer", path, key, i, j)
+        entries += row
     return IntMatrix(len(rows), 3, tuple(entries))  # shaped, so [] reads back as 0x3
 
 
 def _piece_from_obj(obj: Any, path: str) -> Piece:
-    d = _expect(obj, dict, path, "a piece object")
-    kind_name = _expect(d.get("kind"), str, f"{path}.kind", "a piece kind string")
+    d = _expect(obj, dict, "a piece object", path)
+    kind_name = _expect(d.get("kind"), str, "a piece kind string", path, "kind")
     try:
         kind = PieceKind(kind_name)
     except ValueError:
         valid = ", ".join(k.value for k in PieceKind)
         raise ManifoldFileError(f"{path}.kind", f"unknown kind {kind_name!r}; one of: {valid}")
-    genus = _expect(d.get("genus"), int, f"{path}.genus", "an integer")
-    label = _expect(d.get("monodromy_label", ""), str, f"{path}.monodromy_label", "a string")
-    framing = _expect(d.get("framing"), list, f"{path}.framing", "a list of three names")
+    genus = _expect(d.get("genus"), int, "an integer", path, "genus")
+    label = _expect(d.get("monodromy_label", ""), str, "a string", path, "monodromy_label")
+    framing = _expect(d.get("framing"), list, "a list of three names", path, "framing")
     if len(framing) != 3 or not all(isinstance(x, str) for x in framing):
         raise ManifoldFileError(f"{path}.framing", "expected three strings")
-    lam = _expect(d.get("lambda_index"), int, f"{path}.lambda_index", "an integer")
+    lam = _expect(d.get("lambda_index"), int, "an integer", path, "lambda_index")
     h1 = d.get("h1")
     incl = d.get("inclusion")
     group = None
     incl_matrix = None
     if h1 is not None:
-        h1 = _expect(h1, dict, f"{path}.h1", "an object")
-        torsion = _expect(h1.get("torsion", []), list, f"{path}.h1.torsion", "a list")
-        try:
-            group = AbelianGroup(
-                free_rank=_expect(h1.get("free_rank"), int, f"{path}.h1.free_rank", "an integer"),
-                torsion=tuple(
-                    _expect(t, int, f"{path}.h1.torsion[{i}]", "an integer")
-                    for i, t in enumerate(torsion)
-                ),
-            )
+        h1 = _expect(h1, dict, "an object", path, "h1")
+        torsion = _expect(h1.get("torsion", []), list, "a list", path, "h1", "torsion")
+        try:  # ManifoldFileError is a ValueError: a bad entry below is reported at h1
+            free_rank = _expect(h1.get("free_rank"), int, "an integer", path, "h1", "free_rank")
+            for k, t in enumerate(torsion):
+                _expect(t, int, "an integer", path, "h1", "torsion", k)
+            group = AbelianGroup(free_rank=free_rank, torsion=tuple(torsion))
         except ValueError as exc:
             raise ManifoldFileError(f"{path}.h1", str(exc)) from exc
     if incl is not None:
-        incl_matrix = _int_rows(incl, f"{path}.inclusion")
+        incl_matrix = _int_rows(incl, path, "inclusion")
     try:
         return Piece(
             kind=kind,
@@ -162,14 +170,14 @@ def parse_manifold_file(text: str) -> ManifoldFile:
         # an integer past Python's int-string conversion limit, or nesting
         # past the interpreter's recursion limit
         raise ManifoldFileError("(document)", f"unreadable JSON: {exc}") from exc
-    doc = _expect(doc, dict, "(document)", "a JSON object")
+    doc = _expect(doc, dict, "a JSON object", "(document)")
     version = _version(doc.get("version"))
-    pieces_obj = _expect(doc.get("pieces"), list, "pieces", "a list of two pieces")
+    pieces_obj = _expect(doc.get("pieces"), list, "a list of two pieces", "pieces")
     if len(pieces_obj) != 2:
         raise ManifoldFileError("pieces", f"expected exactly two pieces, got {len(pieces_obj)}")
     pieces = tuple(_piece_from_obj(p, f"pieces[{i}]") for i, p in enumerate(pieces_obj))
-    gluing_obj = _expect(doc.get("gluing"), dict, "gluing", "an object")
-    matrix = _int_rows(gluing_obj.get("matrix"), "gluing.matrix")
+    gluing_obj = _expect(doc.get("gluing"), dict, "an object", "gluing")
+    matrix = _int_rows(gluing_obj.get("matrix"), "gluing", "matrix")
     try:
         gluing = GluingMap(matrix)
     except NotUnimodular as exc:
@@ -191,27 +199,56 @@ def h1_to_obj(h1: AbelianGroup) -> dict[str, Any]:
     return {"free_rank": h1.free_rank, "torsion": list(h1.torsion)}
 
 
-def piece_to_obj(p: Piece) -> dict[str, Any]:
-    return {
-        "kind": p.kind.value,
-        "genus": p.genus,
-        "monodromy_label": p.monodromy_label,
-        "framing": list(p.framing),
-        "lambda_index": p.lambda_index,
-        "h1": None if p.h1 is None else h1_to_obj(p.h1),
-        "inclusion": None if p.inclusion is None else matrix_to_obj(p.inclusion),
-    }
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of encoded items as json.dumps(indent=2) lays it out when
+    its opening bracket sits on a line indented by indent."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _matrix_text(m: IntMatrix, indent: str) -> str:
+    """A matrix's rows, each an array of three integers, as _array lays them out."""
+    row = "[\n{0}{{}},\n{0}{{}},\n{0}{{}}\n{1}]".format(indent + "    ", indent + "  ")
+    return _array([row.format(*r) for r in m.to_rows()], indent)
+
+
+def _piece_text(p: Piece) -> str:
+    """A piece object as an item of the top-level pieces list (depth 2)."""
+    h1 = "null"
+    if p.h1 is not None:
+        torsion = _array(list(map(str, p.h1.torsion)), "        ")
+        h1 = f'{{\n        "free_rank": {p.h1.free_rank},\n        "torsion": {torsion}\n      }}'
+    inclusion = "null" if p.inclusion is None else _matrix_text(p.inclusion, "      ")
+    return (
+        "{"
+        f'\n      "framing": {_array(list(map(encode_basestring_ascii, p.framing)), "      ")},'
+        f'\n      "genus": {p.genus},'
+        f'\n      "h1": {h1},'
+        f'\n      "inclusion": {inclusion},'
+        f'\n      "kind": {encode_basestring_ascii(p.kind.value)},'
+        f'\n      "lambda_index": {p.lambda_index},'
+        f'\n      "monodromy_label": {encode_basestring_ascii(p.monodromy_label)}'
+        "\n    }"
+    )
 
 
 def serialize_manifold_file(mf: ManifoldFile) -> str:
-    """Canonical serialization: sorted keys, 2-space indent, trailing newline."""
-    doc = {
-        "version": mf.version,
-        "pieces": [piece_to_obj(p) for p in mf.pieces],
-        "gluing": {
-            "matrix": matrix_to_obj(mf.gluing.m),
-            "orientation_note": mf.orientation_note,
-        },
-        "metadata": mf.metadata,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: json.dumps(doc, indent=2, sort_keys=True)
+    plus a newline, written key by key in sorted order.  Metadata is the one
+    free-form value; json lays it out, and re-indenting each of its lines by
+    two spaces places it at depth 1, since an escaped JSON string holds no
+    raw newline."""
+    metadata = json.dumps(mf.metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return (
+        "{"
+        '\n  "gluing": {'
+        f'\n    "matrix": {_matrix_text(mf.gluing.m, "    ")},'
+        f'\n    "orientation_note": {encode_basestring_ascii(mf.orientation_note)}'
+        "\n  },"
+        f'\n  "metadata": {metadata},'
+        f'\n  "pieces": {_array([_piece_text(p) for p in mf.pieces], "  ")},'
+        f'\n  "version": {encode_basestring_ascii(mf.version)}'
+        "\n}\n"
+    )

@@ -233,6 +233,52 @@ def test_snf_zero_matrix():
     assert abs(s.U.det()) == 1 and abs(s.V.det()) == 1
 
 
+@pytest.mark.parametrize(
+    "rows, U, D, V",
+    [
+        pytest.param(  # every pivot is a unit: no redo, no divisibility fix-up
+            [(2, 1, 0), (1, 1, 0), (3, 0, 1)],
+            [(1, 0, 0), (1, -1, 0), (-3, 3, 1)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            [(0, 1, 0), (1, -2, 0), (0, 0, 1)],
+            id="unit-pivots",
+        ),
+        pytest.param(  # the -1 pivot's row is negated in D and U
+            [(-1, 2), (3, 4)],
+            [(-1, 0), (3, 1)],
+            [(1, 0), (0, 10)],
+            [(1, 2), (0, 1)],
+            id="minus-one-pivot",
+        ),
+        pytest.param(  # 3 is not a multiple of the pivot 2: row 0 += row 1
+            [(2, 0), (0, 3)],
+            [(1, 1), (3, 2)],
+            [(1, 0), (0, 6)],
+            [(-1, 3), (1, -2)],
+            id="divisibility-fix-up",
+        ),
+        pytest.param(
+            [(0, 0, 0), (4, 6, 2), (0, 0, 0)],
+            [(0, 1, 0), (1, 0, 0), (0, 0, 1)],
+            [(2, 0, 0), (0, 0, 0), (0, 0, 0)],
+            [(0, 0, 1), (0, 1, 0), (1, -3, -2)],
+            id="zero-rows",
+        ),
+    ],
+)
+def test_snf_transforms_are_pinned(rows, U, D, V):
+    # the docstring promises reproducible U, D, V, not just D
+    s = smith_normal_form(IntMatrix.from_rows(rows))
+    assert (s.U.to_rows(), s.D.to_rows(), s.V.to_rows()) == (tuple(U), tuple(D), tuple(V))
+
+
+def test_snf_of_a_matrix_without_rows():
+    s = smith_normal_form(IntMatrix(0, 3, ()))
+    assert (s.U.rows, s.U.cols, s.D.rows, s.D.cols) == (0, 0, 0, 3)
+    assert s.V == IntMatrix.identity(3)
+    assert s.diagonal == ()
+
+
 def test_snf_deterministic():
     a = IntMatrix.from_rows([[6, 4, -2], [2, 8, 10], [0, -6, 14]])
     s1, s2 = smith_normal_form(a), smith_normal_form(a)

@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusglue.gluing import GluingMap
 from torusglue.lattice import AbelianGroup, IntMatrix
@@ -11,7 +13,7 @@ from torusglue.manifold_files import (
     parse_manifold_file,
     serialize_manifold_file,
 )
-from torusglue.pieces import PieceKind, sample_piece, torus_times_disk
+from torusglue.pieces import Piece, PieceKind, sample_piece, torus_times_disk
 from torusglue.surgery import SURGERY_DISK_PAIR
 
 
@@ -198,6 +200,31 @@ def test_canonical_round_trip_is_byte_identical():
             "metadata: not plain JSON: ",
             id="metadata-nan",
         ),
+        # paths that are formatted only when the field is wrong
+        pytest.param(
+            lambda d: d["pieces"][1].update(
+                h1={"free_rank": 3, "torsion": []},
+                inclusion=[[1, 0, 0], [0, 0, 1], [0, "x", 0]],
+            ),
+            "pieces[1].inclusion[2][1]: expected an integer, got str",
+            id="inclusion-entry-str",
+        ),
+        pytest.param(
+            lambda d: d["gluing"]["matrix"][1].__setitem__(2, True),
+            "gluing.matrix[1][2]: expected an integer, got bool",
+            id="gluing-entry-bool",
+        ),
+        pytest.param(
+            # the torsion check runs inside the h1 group's, which reports at h1
+            lambda d: d["pieces"][0]["h1"].update(torsion=["2"]),
+            "pieces[0].h1: pieces[0].h1.torsion[0]: expected an integer, got str",
+            id="torsion-entry-str",
+        ),
+        pytest.param(
+            lambda d: d["pieces"][0].update(framing=["s", 1, "lambda"]),
+            "pieces[0].framing: expected three strings",
+            id="framing-member-int",
+        ),
     ],
     ids=lambda v: v.partition(":")[0] if isinstance(v, str) else None,
 )
@@ -219,3 +246,104 @@ def test_parse_error_on_bad_json():
     with pytest.raises(ManifoldFileError) as err:
         parse_manifold_file("{not json")
     assert err.value.field_path == "(document)"
+
+
+# the writer's oracle: json's own indented layout of a document built here
+# field by field, over every kind, every way of declaring h1, and text that
+# json has to escape
+TEXT = st.text(st.sampled_from('ab "\\\n\tü∂🌀'), max_size=5) | st.text(max_size=3)
+METADATA = st.dictionaries(
+    TEXT,
+    st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-(10**20), 10**20)
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | TEXT,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+        max_leaves=6,
+    ),
+    max_size=3,
+)
+UNIMODULAR_2X2 = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)), ((2, 1), (-1, -1))]
+GLUINGS = [
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    ((3, 1, 0), (2, 1, 0), (0, 0, -1)),
+    ((1, 2, 0), (0, 1, 5), (0, 0, -1)),
+]
+
+
+@st.composite
+def piece_docs(draw):
+    kind = draw(st.sampled_from(PieceKind))
+    lam = draw(st.integers(1, 3))
+    others = [j for j in range(3) if j != lam - 1]
+    if kind is PieceKind.TORUS_TIMES_DISK:
+        genus, h1 = 0, {"free_rank": 2, "torsion": []}
+        inclusion = [[0, 0, 0], [0, 0, 0]]
+        for row, block in zip(inclusion, draw(st.sampled_from(UNIMODULAR_2X2))):
+            row[others[0]], row[others[1]] = block
+    else:
+        genus = draw(st.integers(0, 5))
+        declared = draw(st.sampled_from(["declared", "absent", "0x3"]))
+        if declared == "absent":
+            h1 = inclusion = None
+        elif declared == "0x3":
+            h1, inclusion = {"free_rank": 0, "torsion": []}, []
+        else:
+            torsion = draw(st.sampled_from([[], [2], [3, 6], [2, 4, 8]]))
+            h1 = {"free_rank": draw(st.integers(0, 3)), "torsion": torsion}
+            inclusion = []
+            for _ in range(h1["free_rank"] + len(torsion)):
+                row = draw(st.lists(st.integers(-20, 20), min_size=3, max_size=3))
+                row[lam - 1] = 0
+                inclusion.append(row)
+    return {
+        "kind": kind.value,
+        "genus": genus,
+        "monodromy_label": draw(TEXT),
+        "framing": draw(st.lists(TEXT, min_size=3, max_size=3)),
+        "lambda_index": lam,
+        "h1": h1,
+        "inclusion": inclusion,
+    }
+
+
+def _piece(d):
+    h1, inclusion = d["h1"], d["inclusion"]
+    return Piece(
+        kind=PieceKind(d["kind"]),
+        genus=d["genus"],
+        monodromy_label=d["monodromy_label"],
+        framing=tuple(d["framing"]),
+        lambda_index=d["lambda_index"],
+        h1=None if h1 is None else AbelianGroup(h1["free_rank"], tuple(h1["torsion"])),
+        inclusion=None if inclusion is None else IntMatrix(len(inclusion), 3, sum(inclusion, [])),
+    )
+
+
+@given(
+    st.lists(piece_docs(), min_size=2, max_size=2),
+    st.sampled_from(GLUINGS),
+    TEXT,
+    METADATA,
+)
+@settings(max_examples=60, deadline=None)
+def test_writer_equals_json_layout(pieces, matrix, note, metadata):
+    doc = {
+        "version": "1",
+        "pieces": pieces,
+        "gluing": {"matrix": [list(r) for r in matrix], "orientation_note": note},
+        "metadata": metadata,
+    }
+    mf = ManifoldFile(
+        version="1",
+        pieces=(_piece(pieces[0]), _piece(pieces[1])),
+        gluing=GluingMap(IntMatrix.from_rows(matrix)),
+        orientation_note=note,
+        metadata=metadata,
+    )
+    text = serialize_manifold_file(mf)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert serialize_manifold_file(parse_manifold_file(text)) == text
