@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .gluing import FibrationResult, GluedManifold, GluingMap, find_fibration, glue
 from .invariants import euler_characteristic_glued, mayer_vietoris_h1
-from .lattice import AbelianGroup, IntMatrix, cross, is_primitive
+from .lattice import AbelianGroup, IntMatrix, Value, cross, is_primitive
 from .pieces import Piece, PieceKind, sample_piece
 from .surgery import SURGERY_DISK_PAIR, LensSpace, classify_double_disk_gluing, lens_normalize
 from .torus3 import is_sign_normalized
@@ -34,16 +33,21 @@ def expected_h1_for_lens(lens: LensSpace) -> AbelianGroup:
     return AbelianGroup(1, (lens.q,) if lens.q >= 2 else ())
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """One manifold's answer (lens for two T^2 x D^2 pieces, else
     fibration) and whether the independent cross-check confirms it."""
 
-    h1: AbelianGroup
-    chi: int
-    lens: LensSpace | None
-    fibration: FibrationResult | None
-    consistent: bool
+    __slots__ = ("h1", "chi", "lens", "fibration", "consistent")
+
+    def __init__(
+        self, h1: AbelianGroup, chi: int, lens: LensSpace | None,
+        fibration: FibrationResult | None, consistent: bool,
+    ) -> None:
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "lens", lens)
+        object.__setattr__(self, "fibration", fibration)
+        object.__setattr__(self, "consistent", consistent)
 
 
 def check(x: GluedManifold) -> Verdict:

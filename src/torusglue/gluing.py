@@ -14,9 +14,7 @@ identification is itself a convention (outward normal on which side).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lattice import IntMatrix, NotUnimodular, cross, dot
+from .lattice import IntMatrix, NotUnimodular, Value, cross, dot
 from .pieces import ExtensionCertificate, Piece, boundary_lambda, extension_certificate
 from .torus3 import (
     CurveClass,
@@ -28,14 +26,14 @@ from .torus3 import (
 )
 
 
-@dataclass(frozen=True)
-class GluingMap:
+class GluingMap(Value):
     """Boundary identification: columns of m are the images of the second
     piece's framing basis in the first piece's coordinates."""
 
-    m: IntMatrix
+    __slots__ = ("m",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: IntMatrix) -> None:
+        object.__setattr__(self, "m", m)
         if self.m.rows != 3 or self.m.cols != 3:
             raise NotUnimodular("gluing matrix must be 3x3")
         r0, r1, r2 = self.m.to_rows()
@@ -44,17 +42,18 @@ class GluingMap:
             raise NotUnimodular(f"gluing matrix has determinant {det}")
 
 
-@dataclass(frozen=True)
-class GluedManifold:
+class GluedManifold(Value):
     """Two pieces glued along T^3 by f: boundary(w_prime) -> boundary(w)."""
 
-    w: Piece
-    w_prime: Piece
-    f: GluingMap
+    __slots__ = ("w", "w_prime", "f")
+
+    def __init__(self, w: Piece, w_prime: Piece, f: GluingMap) -> None:
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w_prime", w_prime)
+        object.__setattr__(self, "f", f)
 
 
-@dataclass(frozen=True)
-class FibrationResult:
+class FibrationResult(Value):
     """A circle fibration of a glued manifold, with certificates on both sides.
 
     phi and its fiber torus are in the first piece's boundary coordinates;
@@ -64,10 +63,16 @@ class FibrationResult:
     was picked by the fixed rule rather than spanned.
     """
 
-    phi: FibrationOfT3
-    cert_w: ExtensionCertificate
-    cert_w_prime: ExtensionCertificate
-    parallel_case: bool
+    __slots__ = ("phi", "cert_w", "cert_w_prime", "parallel_case")
+
+    def __init__(
+        self, phi: FibrationOfT3, cert_w: ExtensionCertificate,
+        cert_w_prime: ExtensionCertificate, parallel_case: bool,
+    ) -> None:
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "cert_w", cert_w)
+        object.__setattr__(self, "cert_w_prime", cert_w_prime)
+        object.__setattr__(self, "parallel_case", parallel_case)
 
     @property
     def torus(self) -> TorusClass:

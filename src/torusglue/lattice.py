@@ -3,15 +3,16 @@
 Everything downstream reduces to small integer-matrix computations: gcds
 and primitive vectors, Smith normal form together with its unimodular
 transforms, and cokernels presented as abelian groups.  All arithmetic is
-arbitrary precision; no floating point anywhere.
+arbitrary precision; no floating point anywhere.  Value, the base of every
+immutable value type in the package, lives here because every module imports
+this one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from operator import index, mul
+from operator import attrgetter, index, mul
 from typing import Iterable, Sequence, SupportsIndex
 
 Vec = tuple[int, ...]
@@ -23,6 +24,45 @@ class NonPrimitive(ValueError):
 
 class NotUnimodular(ValueError):
     """A matrix required to have determinant +-1 does not."""
+
+
+# ---------------------------------------------------------------------------
+# immutable values
+
+
+class Value:
+    """Base of the immutable value types.  A subclass names its fields in
+    __slots__ and sets them in __init__ with object.__setattr__; they then
+    compare, hash, print and pickle as a frozen dataclass's fields do."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)  # the field, or a tuple of several
+
+    def _values(self) -> tuple:
+        key = self._key(self)
+        return key if len(self.__slots__) > 1 else (key,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +120,16 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 # matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable integer matrix, entries in row-major order."""
 
-    rows: int
-    cols: int
-    entries: Vec
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: Vec) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()  # the checks; perfbench's trace counts constructions here
 
     def __post_init__(self) -> None:
         rows, cols = index(self.rows), index(self.cols)  # a float or a string raises
@@ -179,17 +222,19 @@ class IntMatrix:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SNFDecomposition:
+class SNFDecomposition(Value):
     """U @ A @ V = D with U, V unimodular and D diagonal.
 
     The diagonal entries are nonnegative and each divides the next, so D is
     the unique Smith form of A.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> None:
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
 
     @property
     def diagonal(self) -> Vec:
@@ -286,18 +331,16 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
 # consumers of the Smith form
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """Finitely generated abelian group in invariant-factor form."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "free_rank", index(self.free_rank))
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "free_rank", index(free_rank))
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", as_ints(self.torsion))
+        object.__setattr__(self, "torsion", as_ints(torsion))
         for t in self.torsion:
             if t < 2:
                 raise ValueError(f"invariant factor {t} < 2")

@@ -32,15 +32,15 @@ against json.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .gluing import GluingMap
-from .lattice import AbelianGroup, IntMatrix, NotUnimodular
+from .lattice import AbelianGroup, IntMatrix, NotUnimodular, Value
 from .pieces import Piece, PieceKind
 
 FORMAT_VERSION = "1"
+_NEW_DICT: Any = object()  # ManifoldFile's default metadata: a fresh {} each time
 
 
 class ManifoldFileError(ValueError):
@@ -69,18 +69,24 @@ def _version(obj: Any) -> str:
     return version
 
 
-@dataclass(frozen=True, eq=False)
-class ManifoldFile:
+class ManifoldFile(Value):
     """A parsed manifold description; one that would serialize to text the
-    parser rejects fails here, naming the field of the file."""
+    parser rejects fails here, naming the field of the file.  Equality is
+    identity, since metadata is a mutable dict."""
 
-    version: str
-    pieces: tuple[Piece, Piece]
-    gluing: GluingMap
-    orientation_note: str = ""
-    metadata: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("version", "pieces", "gluing", "orientation_note", "metadata")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, version: str, pieces: tuple[Piece, Piece], gluing: GluingMap,
+        orientation_note: str = "", metadata: dict[str, Any] = _NEW_DICT,
+    ) -> None:
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "gluing", gluing)
+        object.__setattr__(self, "orientation_note", orientation_note)
+        object.__setattr__(self, "metadata", {} if metadata is _NEW_DICT else metadata)
         _version(self.version)
         pieces = self.pieces
         if not (
@@ -136,10 +142,10 @@ def _piece_from_obj(obj: Any, path: str) -> Piece:
     if h1 is not None:
         h1 = _expect(h1, dict, "an object", path, "h1")
         torsion = _expect(h1.get("torsion", []), list, "a list", path, "h1", "torsion")
-        try:  # ManifoldFileError is a ValueError: a bad entry below is reported at h1
-            free_rank = _expect(h1.get("free_rank"), int, "an integer", path, "h1", "free_rank")
-            for k, t in enumerate(torsion):
-                _expect(t, int, "an integer", path, "h1", "torsion", k)
+        free_rank = _expect(h1.get("free_rank"), int, "an integer", path, "h1", "free_rank")
+        for k, t in enumerate(torsion):
+            _expect(t, int, "an integer", path, "h1", "torsion", k)
+        try:
             group = AbelianGroup(free_rank=free_rank, torsion=tuple(torsion))
         except ValueError as exc:
             raise ManifoldFileError(f"{path}.h1", str(exc)) from exc

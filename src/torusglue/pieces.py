@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 
-from .lattice import AbelianGroup, IntMatrix, cross, dot, solve, xgcd
+from .lattice import AbelianGroup, IntMatrix, Value, cross, dot, solve, xgcd
 from .torus3 import CurveClass, FibrationOfT3, dual_curve
 
 
@@ -39,8 +38,7 @@ class PieceKind(enum.Enum):
     TORUS_TIMES_DISK = "torus_times_disk"
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(Value):
     """A 4-manifold piece with T^3 boundary.
 
     framing names the basis (e1, e2, e3) of H_1(boundary); lambda_index
@@ -52,23 +50,23 @@ class Piece:
     canonical values, H_1 = Z^2 and an inclusion killing exactly lambda.
     """
 
-    kind: PieceKind
-    genus: int
-    monodromy_label: str
-    framing: tuple[str, str, str]
-    lambda_index: int
-    h1: AbelianGroup | None = None
-    inclusion: IntMatrix | None = None
+    __slots__ = ("kind", "genus", "monodromy_label", "framing", "lambda_index", "h1", "inclusion")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, PieceKind):
-            raise ValueError(f"kind {self.kind!r} is not a PieceKind")
-        object.__setattr__(self, "genus", operator.index(self.genus))
-        object.__setattr__(self, "lambda_index", operator.index(self.lambda_index))
-        if not isinstance(self.monodromy_label, str):
-            raise TypeError(f"monodromy_label {self.monodromy_label!r} is not a string")
-        framing = self.framing
+    def __init__(
+        self, kind: PieceKind, genus: int, monodromy_label: str, framing: tuple[str, str, str],
+        lambda_index: int, h1: AbelianGroup | None = None, inclusion: IntMatrix | None = None,
+    ) -> None:
+        if not isinstance(kind, PieceKind):
+            raise ValueError(f"kind {kind!r} is not a PieceKind")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "genus", operator.index(genus))
+        object.__setattr__(self, "lambda_index", operator.index(lambda_index))
+        if not isinstance(monodromy_label, str):
+            raise TypeError(f"monodromy_label {monodromy_label!r} is not a string")
+        object.__setattr__(self, "monodromy_label", monodromy_label)
         object.__setattr__(self, "framing", tuple(framing))
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "inclusion", inclusion)
         if isinstance(framing, str) or not all(isinstance(n, str) for n in self.framing):
             raise TypeError(f"framing {framing!r} is not a sequence of names")
         if len(self.framing) != 3:
@@ -169,8 +167,7 @@ def boundary_lambda(p: Piece) -> CurveClass:
     return _STANDARD_BASIS[p.lambda_index - 1]
 
 
-@dataclass(frozen=True)
-class ExtensionCertificate:
+class ExtensionCertificate(Value):
     """Basis (gamma, lambda, alpha) of Z^3 witnessing a fibration extension.
 
     gamma and lambda span the fiber torus (the kernel of the extended
@@ -178,11 +175,12 @@ class ExtensionCertificate:
     normalized covector.
     """
 
-    gamma: CurveClass
-    lam: CurveClass
-    alpha: CurveClass
+    __slots__ = ("gamma", "lam", "alpha")
 
-    def __post_init__(self) -> None:
+    def __init__(self, gamma: CurveClass, lam: CurveClass, alpha: CurveClass) -> None:
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "alpha", alpha)
         # the triple product is the determinant of the three columns
         if abs(dot(self.gamma.v, cross(self.lam.v, self.alpha.v))) != 1:
             raise ValueError("certificate triple is not a basis of Z^3")

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .gluing import (
     FibrationResult,
@@ -36,7 +35,7 @@ from .gluing import (
     glue,
     transported_lambda,
 )
-from .lattice import IntMatrix, cross, dot, xgcd
+from .lattice import IntMatrix, Value, cross, dot, xgcd
 from .pieces import Piece, PieceKind, boundary_lambda, torus_times_disk
 
 
@@ -48,17 +47,15 @@ class MeridianConditionViolated(ValueError):
     """A knot-surgery gluing that does not send lambda to lambda."""
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(Value):
     """Normalized lens-space parameters: q = 0 is S^1 x S^2, q = 1 is S^3,
     and for q >= 2 the second parameter lies in [0, q) and is coprime to q."""
 
-    q: int
-    p: int
+    __slots__ = ("q", "p")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", operator.index(self.q))
-        object.__setattr__(self, "p", operator.index(self.p))
+    def __init__(self, q: int, p: int) -> None:
+        object.__setattr__(self, "q", operator.index(q))
+        object.__setattr__(self, "p", operator.index(p))
         if self.q < 0:
             raise ValueError("normalized q is nonnegative")
         if self.q == 0 and self.p != 1:
@@ -92,8 +89,7 @@ def lens_class(lens: LensSpace) -> LensSpace:
     return LensSpace(lens.q, min(lens.p, (-lens.p) % lens.q, inv, (-inv) % lens.q))
 
 
-@dataclass(frozen=True)
-class SurgerySpec:
+class SurgerySpec(Value):
     """A slope (p, q) for surgery along S^1 x (unknot), with the gluing map
     a surgery glues by.
 
@@ -105,13 +101,12 @@ class SurgerySpec:
     does not depend on it.  Unimodularity makes p and q coprime.
     """
 
-    p: int
-    q: int
-    gluing: GluingMap
+    __slots__ = ("p", "q", "gluing")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", operator.index(self.p))
-        object.__setattr__(self, "q", operator.index(self.q))
+    def __init__(self, p: int, q: int, gluing: GluingMap) -> None:
+        object.__setattr__(self, "p", operator.index(p))
+        object.__setattr__(self, "q", operator.index(q))
+        object.__setattr__(self, "gluing", gluing)
         if not isinstance(self.gluing, GluingMap):
             raise TypeError(f"gluing must be a GluingMap, not {type(self.gluing).__name__}")
         m = self.gluing.m

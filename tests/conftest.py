@@ -131,6 +131,13 @@ def congruence_oracle(q: int, p: int, p2: int) -> bool:
     return p2 % q in hits
 
 
+def replaced(value, **changes):
+    """value with the given fields changed, built through its constructor
+    with every field passed, so every check on the new value runs."""
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    return type(value)(**(fields | changes))
+
+
 def run_python(*args: str, optimize: bool = False) -> subprocess.CompletedProcess:
     """Run the interpreter on args with this checkout's src importable;
     optimize adds -O, which strips assert statements."""

@@ -6,13 +6,16 @@ cannot leave a stale import or helper, and nothing outside the standard
 library is imported.  Two more checks keep properties structural: the
 homology verifier takes only data types from the fibration engine, and no
 code runs differently under `python -O`.  The package has one module entry
-point, `__main__.py`."""
+point, `__main__.py`, and importing the command line loads neither
+dataclasses nor inspect."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "torusglue"
@@ -148,3 +151,13 @@ def test_the_package_has_one_module_entry_point():
     # through __main__.py; no other module runs as a script
     scripts = [p.name for p in sorted(PACKAGE.glob("*.py")) if _runs_as_script(_tree(p))]
     assert scripts == ["__main__.py"]
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # every command and benchmark worker pays for what the package imports;
+    # these two (inspect comes with dataclasses, and brings ast, dis and
+    # tokenize) are heavier than compiling the package
+    loaded = "sorted({'dataclasses', 'inspect'} & set(sys.modules))"
+    result = run_python("-c", f"import sys, torusglue.cli; print({loaded})")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

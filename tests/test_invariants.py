@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -24,7 +23,7 @@ from torusglue.pieces import (
 from torusglue.surgery import SurgerySpec, unknot_torus_surgery
 from torusglue.torus3 import ParallelCurves
 
-from conftest import random_lambda_stabilizer, random_unimodular
+from conftest import random_lambda_stabilizer, random_unimodular, replaced
 
 
 def test_h1_of_slope_2_3_surgery():
@@ -59,9 +58,7 @@ def test_h1_with_declared_torsion():
     # mapping mu -> a, lambda -> 0, s -> t; glued to a canonical disk piece by
     # the permutation sending (s', mu', lambda') to (s, mu, lambda).
     # By hand: relations a = mu', t = s', 2t = 0 leave Z + Z/2.
-    w = dataclasses.replace(
-        sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT), h1=AbelianGroup(1, (2,))
-    )
+    w = replaced(sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT), h1=AbelianGroup(1, (2,)))
     wp = torus_times_disk()
     f = GluingMap(IntMatrix.from_columns([(0, 0, 1), (1, 0, 0), (0, 1, 0)]))
     x = glue(w, wp, f)
@@ -69,9 +66,7 @@ def test_h1_with_declared_torsion():
 
 
 def test_presentation_shape():
-    w = dataclasses.replace(
-        sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT), h1=AbelianGroup(1, (2,))
-    )
+    w = replaced(sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT), h1=AbelianGroup(1, (2,)))
     wp = torus_times_disk()
     pres = h1_presentation(glue(w, wp, GluingMap(IntMatrix.identity(3))))
     # 4 generators; 3 boundary columns + 1 torsion relator
@@ -86,9 +81,7 @@ def test_presentation_shape():
 
 def test_missing_h1_data():
     # no declared data
-    w = dataclasses.replace(
-        sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT), h1=None, inclusion=None
-    )
+    w = replaced(sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT), h1=None, inclusion=None)
     x = glue(w, torus_times_disk(), GluingMap(IntMatrix.identity(3)))
     with pytest.raises(MissingH1Data):
         mayer_vietoris_h1(x)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -15,6 +14,8 @@ from torusglue.manifold_files import (
 )
 from torusglue.pieces import Piece, PieceKind, sample_piece, torus_times_disk
 from torusglue.surgery import SURGERY_DISK_PAIR
+
+from conftest import replaced
 
 
 def example_file(**overrides):
@@ -116,7 +117,7 @@ def test_gluing_row_count_is_reported_by_the_gluing_map():
 
 def test_canonical_round_trip_is_byte_identical():
     # the second input declares H_1 = 0, so its inclusion has no rows
-    acyclic = dataclasses.replace(
+    acyclic = replaced(
         sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT),
         h1=AbelianGroup(0, ()),
         inclusion=IntMatrix(0, 3, ()),
@@ -215,10 +216,14 @@ def test_canonical_round_trip_is_byte_identical():
             id="gluing-entry-bool",
         ),
         pytest.param(
-            # the torsion check runs inside the h1 group's, which reports at h1
             lambda d: d["pieces"][0]["h1"].update(torsion=["2"]),
-            "pieces[0].h1: pieces[0].h1.torsion[0]: expected an integer, got str",
+            "pieces[0].h1.torsion[0]: expected an integer, got str",
             id="torsion-entry-str",
+        ),
+        pytest.param(
+            lambda d: d["pieces"][0]["h1"].update(free_rank="2"),
+            "pieces[0].h1.free_rank: expected an integer, got str",
+            id="free-rank-str",
         ),
         pytest.param(
             lambda d: d["pieces"][0].update(framing=["s", 1, "lambda"]),

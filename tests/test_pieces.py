@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -17,7 +16,7 @@ from torusglue.pieces import (
 )
 from torusglue.torus3 import CurveClass, TorusClass, fibration_from_torus, sign_normalize
 
-from conftest import random_primitive_vector, run_python
+from conftest import random_primitive_vector, replaced, run_python
 
 
 def all_piece_fixtures():
@@ -55,23 +54,23 @@ def test_piece_validation():
     knot = sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT)
     disk = torus_times_disk()
     with pytest.raises(ValueError, match="framing names three basis vectors"):
-        dataclasses.replace(knot, framing=("mu", "lambda"))
+        replaced(knot, framing=("mu", "lambda"))
     with pytest.raises(ValueError, match="inclusion must have 3 columns"):
-        dataclasses.replace(knot, inclusion=IntMatrix.from_rows([(1, 0), (0, 0)]))
+        replaced(knot, inclusion=IntMatrix.from_rows([(1, 0), (0, 0)]))
     with pytest.raises(ValueError, match="genus-0"):
-        dataclasses.replace(disk, genus=1)
+        replaced(disk, genus=1)
     with pytest.raises(ValueError, match="unknown kind"):
         sample_piece("torus_times_disk")  # a kind name, not a PieceKind
     with pytest.raises(ValueError, match=r"has H_1 = Z\^2"):
-        dataclasses.replace(
+        replaced(
             disk,
             h1=AbelianGroup(3, ()),
             inclusion=IntMatrix.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 0)]),
         )
     with pytest.raises(ValueError):
-        dataclasses.replace(knot, lambda_index=4)
+        replaced(knot, lambda_index=4)
     with pytest.raises(ValueError):
-        dataclasses.replace(knot, genus=-1)
+        replaced(knot, genus=-1)
     with pytest.raises(ValueError):
         # h1 without inclusion
         Piece(
@@ -85,7 +84,7 @@ def test_piece_validation():
         )
     with pytest.raises(ValueError):
         # inclusion rows must match the declared generator count
-        dataclasses.replace(knot, inclusion=IntMatrix.from_rows([(1, 0, 0)]))
+        replaced(knot, inclusion=IntMatrix.from_rows([(1, 0, 0)]))
     with pytest.raises(ValueError):
         # a T^2 x D^2 whose lambda does not bound
         Piece(
@@ -122,7 +121,7 @@ def test_piece_validation():
 def test_piece_rejects_unchecked_kind_and_indices(change, error):
     p = sample_piece(PieceKind.KNOT_EXTERIOR_PRODUCT)
     with pytest.raises(error):
-        dataclasses.replace(p, **change)
+        replaced(p, **change)
 
 
 def _disk_piece(rows):
@@ -162,7 +161,7 @@ def test_declared_inclusion_must_kill_lambda(kind):
     rows = [list(r) for r in p.inclusion.to_rows()]
     rows[0][p.lambda_index - 1] += 1
     with pytest.raises(ValueError, match="lambda bounds the fiber surface"):
-        dataclasses.replace(p, inclusion=IntMatrix.from_rows(rows))
+        replaced(p, inclusion=IntMatrix.from_rows(rows))
 
 
 def test_extension_certificate_exactly_when_phi_kills_lambda():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -32,7 +31,13 @@ from torusglue.surgery import (
 )
 from torusglue.torus3 import CurveClass
 
-from conftest import congruence_oracle, coprime_slopes, random_lambda_stabilizer, random_unimodular
+from conftest import (
+    congruence_oracle,
+    coprime_slopes,
+    random_lambda_stabilizer,
+    random_unimodular,
+    replaced,
+)
 
 
 def expected_h1(q):
@@ -262,7 +267,7 @@ def test_classifier_raises_when_gamma_leaves_the_fiber_torus(monkeypatch):
         # still a basis of Z^3, but gamma + alpha pairs to +-1 with phi
         moved = tuple(g + a for g, a in zip(cert.gamma.v, cert.alpha.v))
         bad = ExtensionCertificate(gamma=CurveClass.of(moved), lam=cert.lam, alpha=cert.alpha)
-        return dataclasses.replace(result, cert_w=bad)
+        return replaced(result, cert_w=bad)
 
     monkeypatch.setattr(surgery, "find_fibration", gamma_off_the_torus)
     with pytest.raises(AssertionError, match="not an integer combination"):
