@@ -37,7 +37,7 @@ from .invariants import MissingH1Data, euler_characteristic_glued, mayer_vietori
 from .lattice import IntMatrix
 from .manifold_files import ManifoldFileError, h1_to_obj, matrix_to_obj, parse_manifold_file
 from .pieces import ExtensionCertificate, PieceKind
-from .surgery import SURGERY_DISK_PAIR, NotCoprime, SurgerySpec, obstruction_check
+from .surgery import SURGERY_DISK_PAIR, NotCoprime, SurgerySpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -206,7 +206,7 @@ def cmd_check_obstruction(args: argparse.Namespace) -> int:
             sigma = int(args.sigma)
         except ValueError:
             raise _UsageError(f"--sigma takes an integer or 'unknown', got {args.sigma!r}")
-    passes = obstruction_check(args.chi, sigma)
+    passes = args.chi == 0 and sigma == 0  # necessary, not sufficient
     verdict = "PASSES" if passes else "FAILS"
     if sigma is None:
         verdict += " (sigma unknown)"

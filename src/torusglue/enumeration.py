@@ -10,7 +10,7 @@ import itertools
 import math
 from typing import Iterator
 
-from .gluing import FibrationResult, GluedManifold, GluingMap, find_fibration, glue
+from .gluing import GluedManifold, GluingMap, find_fibration, glue
 from .invariants import euler_characteristic_glued, mayer_vietoris_h1
 from .lattice import AbelianGroup, IntMatrix, Value, cross, is_primitive
 from .pieces import Piece, PieceKind, sample_piece
@@ -38,16 +38,6 @@ class Verdict(Value):
     fibration) and whether the independent cross-check confirms it."""
 
     __slots__ = ("h1", "chi", "lens", "fibration", "consistent")
-
-    def __init__(
-        self, h1: AbelianGroup, chi: int, lens: LensSpace | None,
-        fibration: FibrationResult | None, consistent: bool,
-    ) -> None:
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "lens", lens)
-        object.__setattr__(self, "fibration", fibration)
-        object.__setattr__(self, "consistent", consistent)
 
 
 def check(x: GluedManifold) -> Verdict:

@@ -15,10 +15,9 @@ identification is itself a convention (outward normal on which side).
 from __future__ import annotations
 
 from .lattice import IntMatrix, NotUnimodular, Value, cross, dot
-from .pieces import ExtensionCertificate, Piece, boundary_lambda, extension_certificate
+from .pieces import Piece, boundary_lambda, extension_certificate
 from .torus3 import (
     CurveClass,
-    FibrationOfT3,
     TorusClass,
     canonical_torus_containing,
     fibration_from_torus,
@@ -33,7 +32,7 @@ class GluingMap(Value):
     __slots__ = ("m",)
 
     def __init__(self, m: IntMatrix) -> None:
-        object.__setattr__(self, "m", m)
+        Value.__init__(self, m)
         if self.m.rows != 3 or self.m.cols != 3:
             raise NotUnimodular("gluing matrix must be 3x3")
         r0, r1, r2 = self.m.to_rows()
@@ -46,11 +45,6 @@ class GluedManifold(Value):
     """Two pieces glued along T^3 by f: boundary(w_prime) -> boundary(w)."""
 
     __slots__ = ("w", "w_prime", "f")
-
-    def __init__(self, w: Piece, w_prime: Piece, f: GluingMap) -> None:
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "w_prime", w_prime)
-        object.__setattr__(self, "f", f)
 
 
 class FibrationResult(Value):
@@ -65,15 +59,6 @@ class FibrationResult(Value):
 
     __slots__ = ("phi", "cert_w", "cert_w_prime", "parallel_case")
 
-    def __init__(
-        self, phi: FibrationOfT3, cert_w: ExtensionCertificate,
-        cert_w_prime: ExtensionCertificate, parallel_case: bool,
-    ) -> None:
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "cert_w", cert_w)
-        object.__setattr__(self, "cert_w_prime", cert_w_prime)
-        object.__setattr__(self, "parallel_case", parallel_case)
-
     @property
     def torus(self) -> TorusClass:
         """The fiber torus: the class whose covector is phi."""
@@ -82,7 +67,7 @@ class FibrationResult(Value):
 
 def glue(w: Piece, w_prime: Piece, f: GluingMap) -> GluedManifold:
     """Glue two pieces along their boundaries via f."""
-    return GluedManifold(w=w, w_prime=w_prime, f=f)
+    return GluedManifold(w, w_prime, f)
 
 
 def transported_lambda(x: GluedManifold) -> CurveClass:
@@ -113,9 +98,4 @@ def find_fibration(x: GluedManifold) -> FibrationResult:
     phi_wp = tuple(dot(fib.phi, m.column(j)) for j in range(3))
     fib_wp = fibration_from_torus(TorusClass.of(phi_wp))
     cert_wp = extension_certificate(x.w_prime, fib_wp)
-    return FibrationResult(
-        phi=fib,
-        cert_w=cert_w,
-        cert_w_prime=cert_wp,
-        parallel_case=parallel,
-    )
+    return FibrationResult(fib, cert_w, cert_wp, parallel)

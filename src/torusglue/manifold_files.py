@@ -82,11 +82,8 @@ class ManifoldFile(Value):
         self, version: str, pieces: tuple[Piece, Piece], gluing: GluingMap,
         orientation_note: str = "", metadata: dict[str, Any] = _NEW_DICT,
     ) -> None:
-        object.__setattr__(self, "version", version)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "gluing", gluing)
-        object.__setattr__(self, "orientation_note", orientation_note)
-        object.__setattr__(self, "metadata", {} if metadata is _NEW_DICT else metadata)
+        metadata = {} if metadata is _NEW_DICT else metadata
+        Value.__init__(self, version, pieces, gluing, orientation_note, metadata)
         _version(self.version)
         pieces = self.pieces
         if not (

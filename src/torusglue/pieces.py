@@ -58,15 +58,12 @@ class Piece(Value):
     ) -> None:
         if not isinstance(kind, PieceKind):
             raise ValueError(f"kind {kind!r} is not a PieceKind")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "genus", operator.index(genus))
-        object.__setattr__(self, "lambda_index", operator.index(lambda_index))
+        genus, lambda_index = operator.index(genus), operator.index(lambda_index)
         if not isinstance(monodromy_label, str):
             raise TypeError(f"monodromy_label {monodromy_label!r} is not a string")
-        object.__setattr__(self, "monodromy_label", monodromy_label)
-        object.__setattr__(self, "framing", tuple(framing))
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "inclusion", inclusion)
+        Value.__init__(
+            self, kind, genus, monodromy_label, tuple(framing), lambda_index, h1, inclusion
+        )
         if isinstance(framing, str) or not all(isinstance(n, str) for n in self.framing):
             raise TypeError(f"framing {framing!r} is not a sequence of names")
         if len(self.framing) != 3:

@@ -54,8 +54,7 @@ class LensSpace(Value):
     __slots__ = ("q", "p")
 
     def __init__(self, q: int, p: int) -> None:
-        object.__setattr__(self, "q", operator.index(q))
-        object.__setattr__(self, "p", operator.index(p))
+        Value.__init__(self, operator.index(q), operator.index(p))
         if self.q < 0:
             raise ValueError("normalized q is nonnegative")
         if self.q == 0 and self.p != 1:
@@ -104,9 +103,7 @@ class SurgerySpec(Value):
     __slots__ = ("p", "q", "gluing")
 
     def __init__(self, p: int, q: int, gluing: GluingMap) -> None:
-        object.__setattr__(self, "p", operator.index(p))
-        object.__setattr__(self, "q", operator.index(q))
-        object.__setattr__(self, "gluing", gluing)
+        Value.__init__(self, operator.index(p), operator.index(q), gluing)
         if not isinstance(self.gluing, GluingMap):
             raise TypeError(f"gluing must be a GluingMap, not {type(self.gluing).__name__}")
         m = self.gluing.m
@@ -210,10 +207,3 @@ def generalized_fs_surgery(
             f"gluing sends lambda to {sent.v}, not to {target.v}"
         )
     return x, find_fibration(x)
-
-
-def obstruction_check(chi: int, sigma: int | None) -> bool:
-    """Whether a 4-manifold passes the necessary conditions for containing
-    a torus-fibered 2-torus knot: chi = 0 and sigma known to be 0.  The
-    conditions are not sufficient."""
-    return chi == 0 and sigma == 0

@@ -105,13 +105,11 @@ class FibrationOfT3(Value):
     __slots__ = ("phi", "fiber_basis")
 
     def __init__(self, phi: Vec, fiber_basis: tuple[Vec, Vec]) -> None:
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "fiber_basis", fiber_basis)
+        object.__setattr__(self, "phi", as_ints(phi))
+        object.__setattr__(self, "fiber_basis", tuple(map(as_ints, fiber_basis)))
         self.__post_init__()  # the checks; perfbench's trace times them as a layer
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", as_ints(self.phi))
-        object.__setattr__(self, "fiber_basis", tuple(map(as_ints, self.fiber_basis)))
         if not is_primitive(self.phi):
             raise NonPrimitive(f"fibration covector {self.phi} has content != 1")
         b1, b2 = self.fiber_basis

@@ -259,6 +259,8 @@ def test_check_obstruction(capsys):
     assert capsys.readouterr().out.strip() == "chi = 0; sigma = 0; PASSES"
     assert main(["check-obstruction", "--chi", "2", "--sigma", "0"]) == 0
     assert capsys.readouterr().out.strip() == "chi = 2; sigma = 0; FAILS"
+    assert main(["check-obstruction", "--chi", "0", "--sigma", "8"]) == 0
+    assert capsys.readouterr().out.strip() == "chi = 0; sigma = 8; FAILS"
     assert main(["check-obstruction", "--chi", "0", "--sigma", "unknown"]) == 0
     assert capsys.readouterr().out.strip() == "chi = 0; sigma = unknown; FAILS (sigma unknown)"
     assert main(["check-obstruction", "--chi", "0", "--sigma", "maybe"]) == 1

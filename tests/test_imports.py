@@ -7,7 +7,8 @@ library is imported.  Two more checks keep properties structural: the
 homology verifier takes only data types from the fibration engine, and no
 code runs differently under `python -O`.  The package has one module entry
 point, `__main__.py`, and importing the command line loads neither
-dataclasses nor inspect."""
+dataclasses nor inspect.  Only Value.__init__ and the constructors of the
+six hot value types write a frozen field."""
 
 import ast
 import sys
@@ -161,3 +162,44 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     result = run_python("-c", f"import sys, torusglue.cli; print({loaded})")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# the value types the engine builds several times per op, which store their
+# fields directly rather than through Value.__init__
+HOT_VALUE_TYPES = (
+    "IntMatrix", "CurveClass", "SNFDecomposition", "TorusClass", "FibrationOfT3",
+    "ExtensionCertificate",
+)
+
+
+def _frozen_field_writes(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(class, method, line) of every object.__setattr__ call in a method."""
+    writes = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for method in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+            writes += [
+                (cls.name, method.name, node.lineno)
+                for node in ast.walk(method)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+            ]
+    return writes
+
+
+def test_only_value_init_and_the_hot_types_write_frozen_fields():
+    # one place knows how a frozen field is written; no __post_init__
+    # writes a field a second time
+    writes = [
+        (path.name, *write)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for write in _frozen_field_writes(_tree(path))
+    ]
+    allowed = {("Value", "__init__"), *((cls, "__init__") for cls in HOT_VALUE_TYPES)}
+    assert [w for w in writes if w[1:3] not in allowed] == []
+    assert ("Value", "__init__") in {w[1:3] for w in writes}
+    calls = sum(
+        ast.unparse(n.func) == "object.__setattr__"
+        for path in PACKAGE.glob("*.py")
+        for n in ast.walk(_tree(path))
+        if isinstance(n, ast.Call)
+    )
+    assert calls == len(writes)  # none outside a method, where the walk above looks

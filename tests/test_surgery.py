@@ -26,7 +26,6 @@ from torusglue.surgery import (
     generalized_fs_surgery,
     lens_class,
     lens_normalize,
-    obstruction_check,
     unknot_torus_surgery,
 )
 from torusglue.torus3 import CurveClass
@@ -357,10 +356,3 @@ def test_fs_unknot_identity_homology():
     for _ in range(60):
         x, _ = generalized_fs_surgery(ambient, knot, _meridian_gluing(ambient, knot, rng))
         assert mayer_vietoris_h1(x) == baseline
-
-
-def test_obstruction_check():
-    assert obstruction_check(0, 0) is True
-    assert obstruction_check(2, 0) is False
-    assert obstruction_check(0, 8) is False
-    assert obstruction_check(0, None) is False

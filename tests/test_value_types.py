@@ -1,15 +1,21 @@
 """The immutable value types behave as the frozen dataclasses they replace:
 the same repr, equality and hash over the fields, no assignment or deletion,
 pickling by value; ManifoldFile compares by identity.  The reprs below are
-the dataclass reprs, recorded before the change."""
+the dataclass reprs, recorded before the change.  Every constructor takes
+the fields in __slots__ order; the three record types take them through
+Value's own constructor, positionally or by name."""
 
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 
-from torusglue.enumeration import check
-from torusglue.gluing import find_fibration, glue
-from torusglue.lattice import AbelianGroup, IntMatrix, smith_normal_form
+import torusglue
+from torusglue.enumeration import Verdict, check
+from torusglue.gluing import FibrationResult, GluedManifold, find_fibration, glue
+from torusglue.lattice import AbelianGroup, IntMatrix, Value, smith_normal_form
 from torusglue.manifold_files import ManifoldFile
 from torusglue.pieces import PieceKind, sample_piece
 from torusglue.surgery import SURGERY_DISK_PAIR, LensSpace, SurgerySpec
@@ -150,3 +156,64 @@ def test_fields_are_slots(make, fields, expected):
 @pytest.mark.parametrize("make, fields, expected", CASES, ids=IDS)
 def test_pickling_round_trips(make, fields, expected):
     assert repr(pickle.loads(pickle.dumps(make()))) == expected
+
+
+def _value_types() -> set[type]:
+    """Every Value subclass the package defines, each module imported."""
+    for module in pkgutil.iter_modules(torusglue.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"torusglue.{module.name}")
+    found, todo = set(), [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("torusglue.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+RECORD_TYPES = (GluedManifold, FibrationResult, Verdict)  # no __init__ of their own
+RECORD_IDS = [cls.__name__ for cls in RECORD_TYPES]
+RECORDS = [CASES[IDS.index(name)] for name in RECORD_IDS]
+
+
+def test_every_value_type_has_a_case():
+    assert {type(make()) for make, _, _ in CASES} == _value_types()
+
+
+@pytest.mark.parametrize("make, fields, expected", CASES, ids=IDS)
+def test_constructor_parameters_are_the_slots(make, fields, expected):
+    # positional Value.__init__ calls and __reduce__ rely on this order
+    cls = type(make())
+    if cls.__init__ is Value.__init__:
+        assert cls in RECORD_TYPES
+        params = cls.__slots__
+    else:
+        params = tuple(inspect.signature(cls.__init__).parameters)[1:]
+    assert params == fields
+
+
+@pytest.mark.parametrize("make, fields, expected", RECORDS, ids=RECORD_IDS)
+def test_record_types_build_positionally_and_by_name(make, fields, expected):
+    a = make()
+    cls, values = type(a), [getattr(a, name) for name in fields]
+    named = dict(zip(fields, values))
+    mixed = cls(values[0], **dict(zip(fields[1:], values[1:])))
+    assert cls(*values) == cls(**named) == mixed == a
+    assert repr(cls(*values)) == expected
+
+
+@pytest.mark.parametrize("make, fields, expected", RECORDS, ids=RECORD_IDS)
+def test_record_types_refuse_a_wrong_field(make, fields, expected):
+    a = make()
+    cls, values = type(a), [getattr(a, name) for name in fields]
+    named = dict(zip(fields, values))
+    wrong = {
+        f"missing {fields[-1]}": (values[:-1], {}),
+        f"repeated {fields[0]}": (values, {fields[0]: values[0]}),
+        "unknown colour": ((), named | {"colour": 1}),
+        "1 extra": ((*values, None), {}),
+    }
+    for fault, (args, kwargs) in wrong.items():
+        with pytest.raises(TypeError, match=f"^{cls.__name__}\\({', '.join(fields)}\\): {fault}$"):
+            cls(*args, **kwargs)
