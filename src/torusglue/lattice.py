@@ -2,8 +2,9 @@
 
 Everything downstream reduces to small integer-matrix computations: gcds
 and primitive vectors, Smith normal form together with its unimodular
-transforms, and cokernels presented as abelian groups.  All arithmetic is
-arbitrary precision; no floating point anywhere.  Value, the base of every
+transforms, the kernel of one integer row, and cokernels presented as
+abelian groups (read from the Smith form's diagonal alone).  All arithmetic
+is arbitrary precision; no floating point anywhere.  Value, the base of every
 immutable value type in the package, lives here because every module imports
 this one.
 """
@@ -246,12 +247,12 @@ class SNFDecomposition(Value):
     """U @ A @ V = D with U, V unimodular and D diagonal.
 
     The diagonal entries are nonnegative and each divides the next, so D is
-    the unique Smith form of A.
+    the unique Smith form of A.  U and V are None when only D was asked for.
     """
 
     __slots__ = ("U", "D", "V")
 
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> None:
+    def __init__(self, U: IntMatrix | None, D: IntMatrix, V: IntMatrix | None) -> None:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "V", V)
@@ -261,7 +262,7 @@ class SNFDecomposition(Value):
         return self.D.entries[:: self.D.cols + 1][: min(self.D.rows, self.D.cols)]
 
 
-def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
+def smith_normal_form(a: IntMatrix, transforms: bool = True) -> SNFDecomposition:
     """Smith normal form by elementary row/column operations.
 
     Pivots are chosen as the smallest nonzero entry in absolute value of the
@@ -270,15 +271,20 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
 
     Rows and columns before the current pivot t are zero in D outside the
     diagonal, so operations on D skip them; U and V get whole rows/columns.
+    With transforms=False, U and V are not kept and come back as None; D is
+    the same.
     """
     m, n = a.rows, a.cols
     e = a.entries
     d = [list(e[i * n : (i + 1) * n]) for i in range(m)]
-    u = [[0] * m for _ in range(m)]
-    for i in range(m):
+    # without transforms U's rows are empty and V has no rows, so the
+    # operations below that update them do nothing
+    mu, nv = (m, n) if transforms else (0, 0)
+    u = [[0] * mu for _ in range(m)]
+    for i in range(mu):
         u[i][i] = 1
-    v = [[0] * n for _ in range(n)]
-    for i in range(n):
+    v = [[0] * n for _ in range(nv)]
+    for i in range(nv):
         v[i][i] = 1
 
     t = 0
@@ -312,7 +318,7 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
                 for c in range(t, n):
                     di[c] += k * dt[c]
                 ui = u[i]
-                for c in range(m):
+                for c in range(mu):
                     ui[c] += k * ut[c]
         for j in range(t + 1, n):  # column j -= (d[t][j] // pivot) * column t
             if dt[j]:
@@ -332,7 +338,7 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
                 di, ui = d[i], u[i]
                 for c in range(t, n):  # row t += row i
                     dt[c] += di[c]
-                for c in range(m):
+                for c in range(mu):
                     ut[c] += ui[c]
                 continue
         if pivot < 0:
@@ -340,9 +346,12 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
             u[t] = [-x for x in ut]
         t += 1
 
+    D = IntMatrix(m, n, tuple(chain.from_iterable(d)))
+    if not transforms:
+        return SNFDecomposition(None, D, None)
     return SNFDecomposition(
         U=IntMatrix(m, m, tuple(chain.from_iterable(u))),
-        D=IntMatrix(m, n, tuple(chain.from_iterable(d))),
+        D=D,
         V=IntMatrix(n, n, tuple(chain.from_iterable(v))),
     )
 
@@ -379,8 +388,8 @@ class AbelianGroup(Value):
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:
-    """Z^rows / image(A), read off the Smith form."""
-    diag = smith_normal_form(a).diagonal
+    """Z^rows / image(A), read off the Smith form's diagonal."""
+    diag = smith_normal_form(a, transforms=False).diagonal
     nonzero = [x for x in diag if x != 0]
     return AbelianGroup(
         free_rank=a.rows - len(nonzero),
@@ -389,19 +398,41 @@ def cokernel(a: IntMatrix) -> AbelianGroup:
 
 
 def kernel_basis(a: IntMatrix) -> list[Vec]:
-    """Basis of ker(A) as a sublattice of Z^cols.
+    """Basis of the kernel of one integer row r, as a sublattice of Z^cols.
 
     The kernel of an integer matrix is automatically saturated (torsion-free
-    quotient), so the returned vectors generate every integer solution of
-    A x = 0.
+    quotient), so the returned vectors generate every integer x with
+    r . x = 0.  They are the columns past the pivot of the V that
+    smith_normal_form would return for r (all of V for the zero row),
+    found by its column operations run on r alone: pivot on the smallest
+    |entry|, first found, reduce the others by floor division, and repeat
+    while a remainder is left.  A matrix of any other number of rows raises
+    ValueError.
     """
-    snf = smith_normal_form(a)
-    diag = snf.diagonal
-    return [
-        snf.V.column(j)
-        for j in range(a.cols)
-        if j >= len(diag) or diag[j] == 0
-    ]
+    if a.rows != 1:
+        raise ValueError(f"kernel_basis takes one row, got a {a.rows}x{a.cols} matrix")
+    n = a.cols
+    r = list(a.entries)
+    v = [[0] * n for _ in range(n)]  # V's columns
+    for j in range(n):
+        v[j][j] = 1
+    if not any(r):
+        return [tuple(c) for c in v]
+    while True:
+        best = 0
+        for j, x in enumerate(r):
+            if x and (best == 0 or abs(x) < best):
+                best, p = abs(x), j
+        r[0], r[p] = r[p], r[0]
+        v[0], v[p] = v[p], v[0]
+        pivot, v0 = r[0], v[0]
+        for j in range(1, n):
+            k = r[j] // pivot
+            if k:
+                r[j] -= k * pivot
+                v[j] = [x - k * y for x, y in zip(v[j], v0)]
+        if not any(r[1:]):
+            return [tuple(c) for c in v[1:]]
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

@@ -3,11 +3,11 @@ experiment script or a test file imports is used there, every module-level
 private (not dunder) name is used in its own module, every name the package
 root re-exports is defined in the module it is imported from, so a deletion
 cannot leave a stale import or helper, and nothing outside the standard
-library is imported.  Two more checks keep properties structural: the
-homology verifier takes only data types from the fibration engine, and no
-code runs differently under `python -O`.  The package has one module entry
-point, `__main__.py`, and importing the command line loads neither
-dataclasses nor inspect.  Only Value.__init__ and the constructors of the
+library is imported.  Three more checks keep properties structural: the
+homology verifier takes only data types from the fibration engine, the
+kernel of a covector takes no Smith form, and no code runs differently
+under `python -O`.  The package has one module entry point, `__main__.py`,
+and importing the command line loads neither dataclasses nor inspect.  Only Value.__init__ and the constructors of the
 six hot value types write a frozen field."""
 
 import ast
@@ -125,6 +125,19 @@ def test_the_verifier_imports_only_data_types_from_the_engine():
     assert ("lattice", "cokernel") in imports
     engine = {pair for pair in imports if pair[0] != "lattice"}
     assert engine <= {("gluing", "GluedManifold"), ("pieces", "Piece")}
+
+
+def test_the_row_kernel_takes_no_smith_form():
+    # the fibration engine's kernel of one covector is a gcd-style column
+    # reduction of the row; a full Smith form (or solve, which takes one)
+    # there builds U, D and V only to read V's columns
+    tree = _tree(PACKAGE / "lattice.py")
+    (function,) = [
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "kernel_basis"
+    ]
+    called = {ast.unparse(n.func) for n in ast.walk(function) if isinstance(n, ast.Call)}
+    assert called
+    assert called & {"smith_normal_form", "solve"} == set()
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

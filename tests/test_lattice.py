@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusglue.enumeration import enumerate_gluings, pieces_for_kinds
 from torusglue.gluing import GluingMap
+from torusglue.invariants import h1_presentation
 from torusglue.lattice import (
     AbelianGroup,
     IntMatrix,
@@ -23,6 +25,7 @@ from torusglue.lattice import (
     unimodular_inverse,
     xgcd,
 )
+from torusglue.pieces import PieceKind
 from torusglue.torus3 import CurveClass, FibrationOfT3, TorusClass
 
 from conftest import in_span, minors_gcd, random_unimodular
@@ -353,7 +356,61 @@ def test_kernel_basis():
     kb = kernel_basis(IntMatrix.from_rows([(1, -1, 1)]))
     assert len(kb) == 2
     assert all(dot((1, -1, 1), v) == 0 for v in kb)
-    assert kernel_basis(IntMatrix.identity(3)) == []
+    for a in (IntMatrix.identity(3), IntMatrix(0, 3, ())):  # one row only
+        with pytest.raises(ValueError, match=r"^kernel_basis takes one row, got a \dx3 matrix$"):
+            kernel_basis(a)
+
+
+def reference_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
+    """The Smith-form definition that kernel_basis replaced, kept as the
+    reference its basis must equal: the columns of V past the nonzero
+    diagonal."""
+    snf = smith_normal_form(a)
+    diag = snf.diagonal
+    return [snf.V.column(j) for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
+
+
+def test_kernel_basis_equals_the_smith_form_columns():
+    # the golden-pinned certificates read this basis, so it must be the old
+    # one vector for vector, not just another basis of the same lattice
+    rng = random.Random(25)
+    rows = [*product(range(-7, 8), repeat=3)]
+    rows += [tuple(rng.randint(-500, 500) for _ in range(3)) for _ in range(5000)]
+    assert (0, 0, 0) in rows
+    for r in rows:
+        a = IntMatrix(1, 3, r)
+        assert kernel_basis(a) == reference_kernel_basis(a), r
+
+
+def assert_d_only_matches(a: IntMatrix) -> None:
+    s = smith_normal_form(a, transforms=False)
+    assert (s.U, s.V) == (None, None)
+    assert s.D == smith_normal_form(a).D
+
+
+def test_snf_without_transforms_has_the_same_diagonal():
+    rng = random.Random(7)
+    for _ in range(2000):
+        m, n = rng.randint(0, 10), rng.randint(0, 7)
+        zero_rows = {i for i in range(m) if rng.random() < 0.2}
+        zero_cols = {j for j in range(n) if rng.random() < 0.2}
+        entries = [
+            0 if i in zero_rows or j in zero_cols else rng.randint(-20, 20)
+            for i in range(m)
+            for j in range(n)
+        ]
+        assert_d_only_matches(IntMatrix(m, n, entries))
+
+
+def test_snf_without_transforms_on_every_n1_presentation():
+    presentations = [
+        h1_presentation(x)
+        for kinds in product(PieceKind, repeat=2)
+        for x in enumerate_gluings(1, *pieces_for_kinds(*kinds))
+    ]
+    assert len(presentations) == 9 * 62
+    for a in presentations:
+        assert_d_only_matches(a)
 
 
 def test_unimodular_inverse():
