@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .gluing import GluedManifold, GluingMap, find_fibration, glue
 from .invariants import euler_characteristic_glued, mayer_vietoris_h1
@@ -19,9 +19,9 @@ from .torus3 import is_sign_normalized
 
 # only orbit representatives are classified: 62 rows at N = 1, 1,077 at
 # N = 2, but 10,055 at N = 3, where a disk-pair sweep of enumerate_gluings
-# plus check in one process takes about 33 x perfbench.run.calibration_s(),
-# 2.6 x of it in the generator (timed around each next; median of 5 runs,
-# 32-39 x, Python 3.11.7 on 2 CPUs, calibration 0.08-0.10 s), so stay
+# plus check in one process takes about 25 x perfbench.run.calibration_s(),
+# 2.2 x of it in the generator (timed around each next; median of 5 runs,
+# 20-26 x, Python 3.11.7 on 2 CPUs, calibration 0.07-0.10 s), so stay
 # desk-scale
 MAX_ENUMERATION_ENTRY = 2
 
@@ -76,14 +76,15 @@ def _framing_swap(axis: int) -> tuple[int, ...]:
     return tuple(3 - axis - i if i != axis else i for i in range(3))
 
 
-def _orbit_tree(axis: int, axis_prime: int) -> dict:
+def _orbit_tree(axis: int, axis_prime: int) -> tuple:
     """The orbit of a 3x3 entry tuple e under the framing symmetries of
     both pieces (on rows for axis, on columns for axis_prime), as a prefix
-    tree of maps.
+    tree: the tuple of the root's edges.
 
-    Entry k of a member is sign * e[index] for the (index, sign) pair at
-    depth k of its path; members that share their first k pairs share a
-    path, so one comparison at a node covers all of them.
+    Each edge is (k, index, sign, children): entry k of the members below
+    it is sign * e[index], and members that share their first k edges
+    share a path, so one comparison covers all of them.  The 128 leaves
+    are the symmetries, the edges at depth 8 having no children.
     """
     identity = (0, 1, 2)
     tree: dict = {}
@@ -95,17 +96,42 @@ def _orbit_tree(axis: int, axis_prime: int) -> dict:
             for i, j in itertools.product(range(3), repeat=2):
                 pair = (3 * perm_l[i] + perm_r[j], signs[i] * signs[3 + j])
                 node = node.setdefault(pair, {})
-    return tree
+
+    def edges(node: dict, k: int) -> tuple:
+        return tuple((k, i, s, edges(child, k + 1)) for (i, s), child in node.items())
+
+    return edges(tree, 0)
 
 
-def _is_orbit_least(entries: tuple[int, ...], node: dict, k: int = 0) -> bool:
-    """Whether no orbit member under node, all of which agree with entries
-    before position k, is lexicographically smaller than entries."""
-    for (index, sign), child in node.items():
+def _advance(entries: tuple[int, ...], pending: Sequence[tuple]) -> list[tuple] | None:
+    """Decide every pending orbit-tree edge that entries, a prefix of a 3x3
+    entry tuple, already determines: None once some orbit member is
+    smaller, else the edges still undecided.
+
+    An edge whose member ties on entry k passes on to its children; a
+    tied edge without children is a symmetry fixing the whole tuple, kept
+    so that on full entries the list holds one edge per stabilizer element.
+    Members that tie on every known entry stay pending, so resuming from
+    the result with a longer prefix decides the same as starting over.
+    """
+    known = len(entries)
+    undecided = []
+    stack = list(pending)
+    while stack:
+        edge = stack.pop()
+        k, index, sign, children = edge
+        if k >= known or index >= known:
+            undecided.append(edge)
+            continue
         diff = sign * entries[index] - entries[k]
-        if diff < 0 or (diff == 0 and not _is_orbit_least(entries, child, k + 1)):
-            return False
-    return True
+        if diff < 0:
+            return None
+        if diff == 0:
+            if children:
+                stack.extend(children)
+            else:
+                undecided.append(edge)
+    return undecided
 
 
 def enumerate_gluings(
@@ -122,9 +148,13 @@ def enumerate_gluings(
 
     Only unimodular matrices are generated, row by row, each row taken from
     one list of the box's primitive rows: r1, an r2 whose cross product
-    c = r1 x r2 is primitive, and every r3 with r3 . c = +-1 (that dot
-    product is the determinant).  Exact prefilters reject a candidate as
-    soon as the rows chosen so far show a smaller orbit member:
+    c = r1 x r2 is primitive, and the r3 with r3 . c = +-1 (that dot
+    product is the determinant), picked from the list in one pass.  The
+    orbit test runs with the rows: _advance walks the orbit tree after r1,
+    resumes after r2 from where r1 left it, and once more for each r3, so a
+    pair (r1, r2) that already shows a smaller orbit member is dropped
+    before its r3 scan.  Four exact prefilters, each an O(1) test, catch
+    most rejects before any walk:
     - No row is sign-normalized (first nonzero entry positive): flipping
       its sign is a symmetry.
     - r1 is its own least image under the column symmetries, which is
@@ -133,12 +163,17 @@ def enumerate_gluings(
     - r2 is <= 0 wherever r1 is 0, since r2 then leads that column.
     - The row that the first piece's sigma swaps with r1, if any, has no
       least image below r1.
-    Each rejects only matrices that the full least-member test against the
-    precomputed orbit, which runs last, rejects too; the output is the same.
-    Nothing is remembered between matrices, so memory stays constant.
+    The walk finds these rejects too; each prefilter stays because it is
+    cheaper than what it saves.  The first halves every scan of the list,
+    the second rejects exactly the r1 that the walk after r1 rejects, for
+    one lookup, and the last two drop a pair before its cross product and
+    walk.  Each rejects only matrices that the walk on full entries rejects
+    too, and the walk rejects a prefix only for a member smaller on entries
+    already known; so the output is that of the full least-member test.
+    Memory stays constant: a pair's pending edges are bounded by the tree.
     """
     axis, axis_prime = w.lambda_index - 1, w_prime.lambda_index - 1
-    orbit = _orbit_tree(axis, axis_prime)
+    root = _orbit_tree(axis, axis_prime)
     sigma = _framing_swap(axis_prime)
     rng = range(-max_entry, max_entry + 1)
     rows = [
@@ -150,19 +185,18 @@ def enumerate_gluings(
         least[r] = min(n, tuple(n[p] for p in sigma))
     swap = _framing_swap(axis)[0]  # the row the first piece's sigma swaps r1 with (0: none)
     for r1 in rows:
-        if least[r1] != r1:
+        if least[r1] != r1 or (after_r1 := _advance(r1, root)) is None:
             continue
         zeros = [j for j in range(3) if r1[j] == 0]
         for r2 in rows:
             if any(r2[j] > 0 for j in zeros) or (swap == 1 and least[r2] < r1):
                 continue
             c0, c1, c2 = c = cross(r1, r2)
-            if not is_primitive(c):
+            if not is_primitive(c) or (after_r2 := _advance((*r1, *r2), after_r1)) is None:
                 continue
-            for r3 in rows:
-                det = r3[0] * c0 + r3[1] * c1 + r3[2] * c2
-                if det not in (1, -1) or (swap == 2 and least[r3] < r1):
+            for r3 in [r for r in rows if r[0] * c0 + r[1] * c1 + r[2] * c2 in (1, -1)]:
+                if swap == 2 and least[r3] < r1:
                     continue
                 entries = (*r1, *r2, *r3)
-                if _is_orbit_least(entries, orbit):
+                if _advance(entries, after_r2) is not None:
                     yield glue(w, w_prime, GluingMap(IntMatrix(3, 3, entries)))

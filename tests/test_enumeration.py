@@ -6,17 +6,23 @@ every orbit member of each kept matrix so later members are skipped.  The
 generator must yield exactly the same matrices in exactly the same order.
 Above N = 1, where the scan is too slow, recorded digests pin the sequence,
 and an orbit count checks it independently: the orbits of the yielded
-matrices must together hold every unimodular matrix of the box.
+matrices must together hold every unimodular matrix of the box.  Orbit
+sizes come two ways: as sets of the 256 images of the reference symmetries,
+which know nothing of the generator's orbit tree, and, up to N = 3, from the
+stabilizer that the tree walk leaves on a representative's full entries.
+The tree walk itself is checked against the reference orbits on random
+matrices and their prefixes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from torusglue.enumeration import enumerate_gluings, pieces_for_kinds
+from torusglue.enumeration import _advance, _orbit_tree, enumerate_gluings, pieces_for_kinds
 from torusglue.pieces import PieceKind, sample_piece, torus_times_disk
 from torusglue.surgery import SURGERY_DISK_PAIR
 
@@ -156,7 +162,7 @@ def test_sequence_digest_at_4(left_index, right_index):
     assert _digest(sequence) == DIGESTS_AT_4[left_index, right_index]
 
 
-UNIMODULAR_COUNTS = {1: 6_960, 2: 135_408}
+UNIMODULAR_COUNTS = {1: 6_960, 2: 135_408, 3: 1_281_648}
 
 
 @pytest.mark.parametrize("max_entry", UNIMODULAR_COUNTS)
@@ -179,6 +185,60 @@ def test_orbits_of_the_representatives_cover_every_unimodular_matrix(
         len(set(_reference_orbit(entries, left, right)))
         for entries in _generated_entries(max_entry, left_index, right_index)
     ]
+    assert sum(sizes) == UNIMODULAR_COUNTS[max_entry]
+
+
+@pytest.mark.parametrize("left_index,right_index", LAMBDA_PAIRS)
+def test_orbit_walk_rejects_exactly_the_matrices_with_a_smaller_member(left_index, right_index):
+    # entries in [-2, 2] make zeros and ties common; each random matrix is
+    # tried with its least member, so both verdicts occur
+    left = _reference_signed_permutations_fixing(left_index - 1)
+    right = _reference_signed_permutations_fixing(right_index - 1)
+    root = _orbit_tree(left_index - 1, right_index - 1)
+    rng = random.Random(31 * left_index + right_index)
+
+    def is_least(e):
+        return e == min(_reference_orbit(e, left, right))
+
+    assert len(_advance((0,) * 9, root)) == 128  # every symmetry fixes 0
+    verdicts = []
+    for _ in range(40):
+        e = tuple(rng.randint(-2, 2) for _ in range(9))
+        for entries in (e, min(_reference_orbit(e, left, right))):
+            least = is_least(entries)
+            assert (_advance(entries, root) is not None) == least
+            pending = root
+            for known in (3, 6):
+                pending = _advance(entries[:known], pending)
+                if pending is None:
+                    # a rejected prefix has no least completion
+                    completions = [entries] + [
+                        entries[:known] + tuple(rng.randint(-2, 2) for _ in range(9 - known))
+                        for _ in range(4)
+                    ]
+                    assert not any(map(is_least, completions))
+                    break
+            else:
+                # resuming from the 6-entry frontier decides as the root does
+                assert (_advance(entries, pending) is not None) == least
+            verdicts.append(least)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize(
+    "max_entry,left_index,right_index", [(2, *pair) for pair in LAMBDA_PAIRS] + [(3, 2, 1)]
+)
+def test_stabilizers_of_the_representatives_count_every_unimodular_matrix(
+    max_entry, left_index, right_index
+):
+    # on full entries the walk keeps one tied edge per symmetry fixing the
+    # matrix, and |orbit| = 128 / |stabilizer|
+    root = _orbit_tree(left_index - 1, right_index - 1)
+    sizes = []
+    for entries in _generated_entries(max_entry, left_index, right_index):
+        fixing = len(_advance(entries, root))
+        assert 128 % fixing == 0
+        sizes.append(128 // fixing)
     assert sum(sizes) == UNIMODULAR_COUNTS[max_entry]
 
 
